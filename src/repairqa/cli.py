@@ -15,10 +15,12 @@ import io
 import json
 import sys
 
-from .encoding import DEFAULT_NODE_CAP, EncodingSpec, build_multi_formula, export_dimacs
+from .encoding import (DEFAULT_NODE_CAP, SEMANTICS, EncodingSpec, build_multi_formula,
+                       export_dimacs)
 from .errors import CapacityError, InputError, PairingError
 from .files import (load_instance, result_document, save_instance, write_json)
-from .filters import FilterRequest, answer_query, remove_self_inconsistent, valid_pairing
+from .filters import (ALGORITHMS, FilterRequest, answer_query, remove_self_inconsistent,
+                      valid_pairing)
 from .generate import priority_for_mode, random_instance
 from .model import is_score_structured
 from .verify import run_verification
@@ -36,13 +38,11 @@ def _spec_from_flags(args) -> EncodingSpec:
 
 
 def _add_filter_flags(parser, with_algo=True):
-    parser.add_argument("--sem", required=True, choices=("ar", "iar", "brave"))
+    parser.add_argument("--sem", required=True, choices=SEMANTICS)
     parser.add_argument("--repair", required=True, choices=tuple(REPAIR_FLAGS))
     parser.add_argument("--neg", type=int, default=1, choices=(1, 2))
     if with_algo:
-        parser.add_argument("--algo", required=True,
-                            choices=("simple", "maxsat", "muses", "assume",
-                                     "cause", "iarcauses", "iarfacts"))
+        parser.add_argument("--algo", required=True, choices=ALGORITHMS)
     parser.add_argument("--kb", required=True, help="knowledge-base JSON file")
     parser.add_argument("--ans", required=True, help="potential-answers JSON file")
     parser.add_argument("--seed", type=int, default=0)
@@ -153,6 +153,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        print(f"error: --repeat must be at least 1, got {args.repeat}",
+              file=sys.stderr)
+        return EXIT_BAD_COMBINATION
     instance = load_instance(args.kb, args.ans)
     spec_base = REPAIR_FLAGS[args.repair]
     rows = []

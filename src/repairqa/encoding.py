@@ -235,7 +235,7 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
         return clauses, reach
 
     if variant == "p2":
-        closure = reachable_minus_set(instance.conflicts, instance.priority, set(scope))
+        closure = reachable_minus_set(dcg, instance.priority, set(scope))
         used = set(closure)
         for a in sorted(closure):
             for b in sorted(instance.priority.dominators_of(a)):
@@ -311,9 +311,9 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
 Target = Union[PotentialAnswer, frozenset, set, int]
 
 
-def _effective_instance(instance: PrioritizedInstance,
-                        spec: EncodingSpec) -> PrioritizedInstance:
-    # plain subset repairs ignore preferences entirely
+def effective_instance(instance: PrioritizedInstance,
+                       spec: EncodingSpec) -> PrioritizedInstance:
+    """The instance with its priorities dropped for plain subset repairs."""
     if spec.repair == "s" and not instance.priority.is_empty():
         return instance.with_priority(EMPTY_PRIORITY)
     return instance
@@ -345,7 +345,7 @@ def build_single_formula(instance: PrioritizedInstance, spec: EncodingSpec,
     unsatisfiable iff the target holds in every optimal repair (respectively
     their intersection).
     """
-    instance = _effective_instance(instance, spec)
+    instance = effective_instance(instance, spec)
     formula = CnfFormula()
     if isinstance(target, PotentialAnswer):
         kind = "answer"
@@ -397,7 +397,7 @@ def build_multi_formula(instance: PrioritizedInstance, spec: EncodingSpec,
     core. An activator can be true only when the target's condition holds in
     the model, so maximizing true activators sweeps whole answer sets at once.
     """
-    instance = _effective_instance(instance, spec)
+    instance = effective_instance(instance, spec)
     targets = list(targets)
     if not targets:
         raise ValueError("no targets to encode")

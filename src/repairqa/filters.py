@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .encoding import (DEFAULT_NODE_CAP, CnfFormula, EncodingSpec,
-                       build_multi_formula, build_single_formula)
+                       build_multi_formula, build_single_formula,
+                       effective_instance)
 from .errors import BudgetExceededError, PairingError
-from .model import (EMPTY_PRIORITY, FactId, PotentialAnswer, PrioritizedInstance,
-                    is_score_structured)
-from .sat import (UNSAT, SolverSession, SolverStats, enumerate_mus,
-                  maximize_soft, solve_clauses)
+from .model import FactId, PotentialAnswer, PrioritizedInstance, is_score_structured
+from .sat import UNSAT, SolverSession, SolverStats, enumerate_mus, maximize_soft
 
 ALGORITHMS = ("simple", "maxsat", "muses", "assume", "cause", "iarcauses", "iarfacts")
 
@@ -129,9 +128,20 @@ def _verdict_is_hold(spec: EncodingSpec, is_sat: bool) -> bool:
     return is_sat
 
 
-def _build_single(instance, spec, target, ctx) -> CnfFormula:
-    return build_single_formula(instance, spec, target, node_cap=ctx.node_cap,
-                                omit_acyclicity=ctx.omit_acyclicity)
+def _session(psi: CnfFormula, ctx: _Ctx) -> SolverSession:
+    """Load one formula into the one session every question about it uses."""
+    session = SolverSession(psi.nvars, conflict_budget=ctx.budget, seed=ctx.seed,
+                            stats=ctx.stats)
+    for clause in psi.hard:
+        session.add_clause(clause)
+    return session
+
+
+def _holds(instance, spec, target, ctx) -> bool:
+    """Decide one answer, cause or fact with a formula of its own."""
+    psi = build_single_formula(instance, spec, target, node_cap=ctx.node_cap,
+                               omit_acyclicity=ctx.omit_acyclicity)
+    return _verdict_is_hold(spec, _session(psi, ctx).solve().is_sat)
 
 
 def _build_multi(instance, spec, targets, ctx) -> CnfFormula:
@@ -139,20 +149,43 @@ def _build_multi(instance, spec, targets, ctx) -> CnfFormula:
                                omit_acyclicity=ctx.omit_acyclicity)
 
 
+def _sweep_activators(psi: CnfFormula, var_of: dict, one_round: bool,
+                      ctx: _Ctx) -> set:
+    """Keys of `var_of` whose activator is true in some model of `psi`.
+
+    Maximize true activators, block each one observed, and repeat until no
+    new one turns up; `one_round` stops after the first round, for formulas
+    whose every reachable activator is reachable jointly. Every round asks
+    the same session under assumptions.
+    """
+    session = _session(psi, ctx)
+    observed: set = set()
+    assumed: list[int] = []
+    while len(observed) < len(var_of):
+        res = maximize_soft(session, psi.soft_units, assumed)
+        if res.status == UNSAT:
+            break
+        new = {key for key, v in var_of.items()
+               if key not in observed and res.model[v]}
+        if not new:
+            break
+        observed |= new
+        assumed += [-var_of[key] for key in sorted(new)]
+        if one_round:
+            break
+    return observed
+
+
 def filter_simple(instance: PrioritizedInstance, spec: EncodingSpec, ctx: _Ctx) -> set[str]:
     for ans in instance.answers:
-        formula = _build_single(instance, spec, ans, ctx)
-        res = solve_clauses(formula.nvars, formula.hard,
-                            conflict_budget=ctx.budget, seed=ctx.seed,
-                            stats=ctx.stats)
-        if _verdict_is_hold(spec, res.is_sat):
+        if _holds(instance, spec, ans, ctx):
             ctx.held.add(ans.answer_id)
     return ctx.held
 
 
 def filter_all_maxsat(instance: PrioritizedInstance, spec: EncodingSpec,
                       ctx: _Ctx) -> set[str]:
-    """Maximize true activators, blocking each observed one, until a fixpoint.
+    """Sweep the answer activators of one shared formula.
 
     Under the intersection semantics one round suffices: each cause has its
     own variables, so every individually reachable activator is reachable
@@ -161,22 +194,7 @@ def filter_all_maxsat(instance: PrioritizedInstance, spec: EncodingSpec,
     answers = instance.answers
     psi = _build_multi(instance, spec, list(answers), ctx)
     var_of = {a.answer_id: psi.answer_var(a.answer_id) for a in answers}
-    observed: set[str] = set()
-    assumed: list[int] = []
-    while True:
-        res = maximize_soft(psi.nvars, psi.hard, psi.soft_units, assumed,
-                            conflict_budget=ctx.budget, seed=ctx.seed,
-                            stats=ctx.stats)
-        if res.status == UNSAT:
-            break
-        new = {aid for aid, v in var_of.items()
-               if aid not in observed and res.model[v]}
-        if not new:
-            break
-        observed |= new
-        assumed += [-var_of[aid] for aid in sorted(new)]
-        if spec.semantics == "iar" or len(observed) == len(answers):
-            break
+    observed = _sweep_activators(psi, var_of, spec.semantics == "iar", ctx)
     if spec.semantics == "brave":
         ctx.held |= observed
     else:
@@ -189,9 +207,7 @@ def filter_all_muses(instance: PrioritizedInstance, spec: EncodingSpec,
     """Singleton activator cores decide the verdicts outright."""
     answers = instance.answers
     psi = _build_multi(instance, spec, list(answers), ctx)
-    muses = enumerate_mus(psi.nvars, psi.hard, psi.soft_units,
-                          conflict_budget=ctx.budget, seed=ctx.seed,
-                          stats=ctx.stats)
+    muses = enumerate_mus(_session(psi, ctx), psi.soft_units)
     single_vars = {next(iter(s)) for s in muses if len(s) == 1}
     blocked = {a.answer_id for a in answers
                if psi.answer_var(a.answer_id) in single_vars}
@@ -206,30 +222,19 @@ def filter_assumptions(instance: PrioritizedInstance, spec: EncodingSpec,
                        ctx: _Ctx) -> set[str]:
     answers = instance.answers
     psi = _build_multi(instance, spec, list(answers), ctx)
-    session = SolverSession(psi.nvars, conflict_budget=ctx.budget, seed=ctx.seed)
-    for clause in psi.hard:
-        session.add_clause(clause)
-    try:
-        for ans in answers:
-            res = session.solve([psi.answer_var(ans.answer_id)])
-            if _verdict_is_hold(spec, res.is_sat):
-                ctx.held.add(ans.answer_id)
-    finally:
-        ctx.stats.merge(session.stats)
+    session = _session(psi, ctx)
+    for ans in answers:
+        res = session.solve([psi.answer_var(ans.answer_id)])
+        if _verdict_is_hold(spec, res.is_sat):
+            ctx.held.add(ans.answer_id)
     return ctx.held
 
 
 def filter_cause_by_cause(instance: PrioritizedInstance, spec: EncodingSpec,
                           ctx: _Ctx) -> set[str]:
     for ans in instance.answers:
-        for cause in ans.causes:
-            formula = _build_single(instance, spec, frozenset(cause), ctx)
-            res = solve_clauses(formula.nvars, formula.hard,
-                                conflict_budget=ctx.budget, seed=ctx.seed,
-                                stats=ctx.stats)
-            if _verdict_is_hold(spec, res.is_sat):
-                ctx.held.add(ans.answer_id)
-                break
+        if any(_holds(instance, spec, frozenset(cause), ctx) for cause in ans.causes):
+            ctx.held.add(ans.answer_id)
     return ctx.held
 
 
@@ -242,17 +247,9 @@ def filter_iar_causes(instance: PrioritizedInstance, spec: EncodingSpec,
         for cause in ans.causes:
             if ans.answer_id in ctx.held or cause & non_iar:
                 continue
-            rest = cause - iar_facts
-            if not rest:
-                ctx.held.add(ans.answer_id)
-                continue
             all_iar = True
-            for fact in sorted(rest):
-                formula = _build_single(instance, spec, fact, ctx)
-                res = solve_clauses(formula.nvars, formula.hard,
-                                    conflict_budget=ctx.budget, seed=ctx.seed,
-                                    stats=ctx.stats)
-                if not res.is_sat:
+            for fact in sorted(cause - iar_facts):
+                if _holds(instance, spec, fact, ctx):
                     iar_facts.add(fact)
                 else:
                     non_iar.add(fact)
@@ -265,7 +262,7 @@ def filter_iar_causes(instance: PrioritizedInstance, spec: EncodingSpec,
 
 def filter_iar_facts(instance: PrioritizedInstance, spec: EncodingSpec,
                      ctx: _Ctx) -> set[str]:
-    """Classify whole fact batches per answer with the soft-maximization loop."""
+    """Classify whole fact batches per answer with the activator sweep."""
     iar_facts: set[FactId] = set()
     non_iar: set[FactId] = set()
     for ans in instance.answers:
@@ -277,22 +274,7 @@ def filter_iar_facts(instance: PrioritizedInstance, spec: EncodingSpec,
         if relevant:
             psi = _build_multi(instance, spec, sorted(relevant), ctx)
             var_of = {f: psi.assume_var(f) for f in sorted(relevant)}
-            new_non: set[FactId] = set()
-            assumed: list[int] = []
-            while True:
-                res = maximize_soft(psi.nvars, psi.hard, psi.soft_units, assumed,
-                                    conflict_budget=ctx.budget, seed=ctx.seed,
-                                    stats=ctx.stats)
-                if res.status == UNSAT:
-                    break
-                found = {f for f, v in var_of.items()
-                         if f not in new_non and res.model[v]}
-                if not found:
-                    break
-                new_non |= found
-                assumed += [-var_of[f] for f in sorted(found)]
-                if new_non == relevant:
-                    break
+            new_non = _sweep_activators(psi, var_of, False, ctx)
             iar_facts |= relevant - new_non
             non_iar |= new_non
         if ans.answer_id not in ctx.held:
@@ -322,10 +304,8 @@ def answer_query(request: FilterRequest) -> FilterReport:
     if not valid_pairing(spec.semantics, request.algorithm):
         raise PairingError(
             f"algorithm {request.algorithm!r} cannot compute {spec.semantics!r}")
-    instance = request.instance
-    if spec.repair == "s" and not instance.priority.is_empty():
-        # plain subset repairs disregard preferences everywhere
-        instance = instance.with_priority(EMPTY_PRIORITY)
+    # preprocessing reads the priority-dependent conflict graph too
+    instance = effective_instance(request.instance, spec)
     if spec.repair == "c" and spec.max_variant != "c" and not is_score_structured(
             instance.conflicts, instance.priority):
         raise PairingError(

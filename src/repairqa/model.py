@@ -245,14 +245,14 @@ def reachable_set(dcg: DirectedConflictGraph, seed: Iterable[FactId]) -> frozens
     return frozenset(result)
 
 
-def reachable_minus_set(conflicts: ConflictSet, priority: PriorityRelation,
+def reachable_minus_set(dcg: DirectedConflictGraph, priority: PriorityRelation,
                         seed: Iterable[FactId]) -> frozenset[FactId]:
     """Fixpoint closure used by the variable-lean maximality encoding.
 
     Starting from the seed, repeatedly add every non-dominated contradictor of
-    every fact preferred to a fact already in the set.
+    every fact preferred to a fact already in the set. `dcg` is the directed
+    conflict graph of the same priority relation.
     """
-    dcg = directed_conflict_graph(conflicts, priority)
     result = set(seed)
     frontier = list(result)
     while frontier:

@@ -3,7 +3,9 @@
 Conflict-driven clause learning with two watched literals, incremental
 solving under assumptions (with assumption cores), exact maximization of
 satisfied unit-soft literals, and enumeration of minimal unsatisfiable
-subsets of unit-soft sets.
+subsets of unit-soft sets. Maximization and MUS enumeration run on a
+`SolverSession` the caller has loaded and owns, so one formula is loaded
+once and then asked many questions under assumptions.
 
 Everything is deterministic: decisions pick the lowest unassigned variable,
 positive phase first; a nonzero seed only flips phases, never verdicts.
@@ -29,13 +31,6 @@ class SolverStats:
     solve_calls: int = 0
     wall_s: float = 0.0
 
-    def merge(self, other: "SolverStats") -> None:
-        self.decisions += other.decisions
-        self.conflicts += other.conflicts
-        self.propagations += other.propagations
-        self.solve_calls += other.solve_calls
-        self.wall_s += other.wall_s
-
     def as_dict(self) -> dict:
         return {
             "decisions": self.decisions,
@@ -58,14 +53,19 @@ class SolveResult:
 
 
 class SolverSession:
-    """One clause database; clauses are append-only, solving is repeatable."""
+    """One clause database; clauses are append-only, solving is repeatable.
+
+    Counters go to `stats`, which several sessions may share.
+    """
 
     def __init__(self, nvars: int = 0, conflict_budget: Optional[int] = None,
-                 seed: int = 0):
+                 seed: int = 0, stats: Optional[SolverStats] = None):
         self.nvars = 0
         self.conflict_budget = conflict_budget
         self.seed = seed
-        self.stats = SolverStats()
+        self.stats = SolverStats() if stats is None else stats
+        # soft literals -> outputs of the cardinality counter over them
+        self._counters: dict[tuple[int, ...], list[int]] = {}
         self._ok = True  # False once the hard clauses are refuted outright
         self._clauses: list[list[int]] = []      # watched clause database
         self._original: list[tuple[int, ...]] = []  # as added, for model checking
@@ -344,17 +344,12 @@ def lit_true(model: dict[int, bool], lit: int) -> bool:
 
 def solve_clauses(nvars: int, clauses: Iterable[Iterable[int]],
                   assumptions: Sequence[int] = (),
-                  conflict_budget: Optional[int] = None,
-                  seed: int = 0,
-                  stats: Optional[SolverStats] = None) -> SolveResult:
+                  conflict_budget: Optional[int] = None) -> SolveResult:
     """One-shot decision for a clause list."""
-    session = SolverSession(nvars, conflict_budget=conflict_budget, seed=seed)
+    session = SolverSession(nvars, conflict_budget=conflict_budget)
     for clause in clauses:
         session.add_clause(clause)
-    result = session.solve(assumptions)
-    if stats is not None:
-        stats.merge(session.stats)
-    return result
+    return session.solve(assumptions)
 
 
 @dataclass(frozen=True)
@@ -364,8 +359,16 @@ class MaxSatResult:
     optimum: int
 
 
-def _add_at_least_counter(session: SolverSession, lits: Sequence[int]) -> list[int]:
-    """Sequential counter; returns outputs where outputs[k-1] forces >= k true."""
+def _at_least_counter(session: SolverSession, lits: Sequence[int]) -> list[int]:
+    """Sequential counter; returns outputs where outputs[k-1] forces >= k true.
+
+    Built once per session and soft set: the clauses only constrain the
+    fresh counter variables, so they leave every later question about the
+    hard clauses unchanged.
+    """
+    key = tuple(lits)
+    if key in session._counters:
+        return session._counters[key]
     n = len(lits)
     prev: list[int] = []
     for i in range(1, n + 1):
@@ -384,48 +387,37 @@ def _add_at_least_counter(session: SolverSession, lits: Sequence[int]) -> list[i
                 if j >= 2:
                     session.add_clause([-c, diag])
         prev = cur
+    session._counters[key] = prev
     return prev
 
 
-def maximize_soft(nvars: int, hard: Iterable[Iterable[int]], soft_lits: Sequence[int],
-                  fixed_assumptions: Sequence[int] = (),
-                  conflict_budget: Optional[int] = None,
-                  seed: int = 0,
-                  stats: Optional[SolverStats] = None) -> MaxSatResult:
+def maximize_soft(session: SolverSession, soft_lits: Sequence[int],
+                  assumptions: Sequence[int] = ()) -> MaxSatResult:
     """Maximize the number of satisfied soft literals (all weight one).
 
     Linear search on the count: start from a model, demand one more satisfied
     soft via an incremental cardinality counter until that fails.
     """
-    session = SolverSession(nvars, conflict_budget=conflict_budget, seed=seed)
-    for clause in hard:
-        session.add_clause(clause)
-    try:
-        result = session.solve(fixed_assumptions)
-        if not result.is_sat:
-            return MaxSatResult(UNSAT, None, 0)
-        best_model = result.model
-        best = sum(1 for l in soft_lits if lit_true(best_model, l))
-        if soft_lits and best < len(soft_lits):
-            outputs = _add_at_least_counter(session, soft_lits)
+    result = session.solve(assumptions)
+    if not result.is_sat:
+        return MaxSatResult(UNSAT, None, 0)
+    best_model = result.model
+    best = sum(1 for l in soft_lits if lit_true(best_model, l))
+    if soft_lits and best < len(soft_lits):
+        outputs = _at_least_counter(session, soft_lits)
+        k = best + 1
+        while k <= len(soft_lits):
+            result = session.solve(list(assumptions) + [outputs[k - 1]])
+            if not result.is_sat:
+                break
+            best_model = result.model
+            best = sum(1 for l in soft_lits if lit_true(best_model, l))
             k = best + 1
-            while k <= len(soft_lits):
-                result = session.solve(list(fixed_assumptions) + [outputs[k - 1]])
-                if not result.is_sat:
-                    break
-                best_model = result.model
-                best = sum(1 for l in soft_lits if lit_true(best_model, l))
-                k = best + 1
-        return MaxSatResult(SAT, best_model, best)
-    finally:
-        if stats is not None:
-            stats.merge(session.stats)
+    return MaxSatResult(SAT, best_model, best)
 
 
-def enumerate_mus(nvars: int, hard: Iterable[Iterable[int]], soft_lits: Sequence[int],
-                  conflict_budget: Optional[int] = None,
-                  seed: int = 0,
-                  stats: Optional[SolverStats] = None) -> list[frozenset[int]]:
+def enumerate_mus(session: SolverSession,
+                  soft_lits: Sequence[int]) -> list[frozenset[int]]:
     """All minimal subsets of soft literals unsatisfiable with the hard clauses.
 
     Seed-shrink loop over a map of unexplored subsets: satisfiable seeds are
@@ -433,56 +425,50 @@ def enumerate_mus(nvars: int, hard: Iterable[Iterable[int]], soft_lits: Sequence
     ones shrunk to minimal cores and blocked from above. If the hard clauses
     alone are unsatisfiable the marker [frozenset()] is returned.
     """
-    session = SolverSession(nvars, conflict_budget=conflict_budget, seed=seed)
-    for clause in hard:
-        session.add_clause(clause)
-    map_session = SolverSession(len(soft_lits), conflict_budget=conflict_budget)
+    if not session.solve().is_sat:
+        return [frozenset()]
+    map_session = SolverSession(len(soft_lits),
+                                conflict_budget=session.conflict_budget,
+                                stats=session.stats)
     muses: list[frozenset[int]] = []
-    try:
-        if not session.solve().is_sat:
-            return [frozenset()]
-        m = len(soft_lits)
-        while True:
-            seed_res = map_session.solve()
-            if not seed_res.is_sat:
-                break
-            chosen = [i for i in range(m) if seed_res.model[i + 1]]
-            test = session.solve([soft_lits[i] for i in chosen])
-            if test.is_sat:
-                sat_set = {i for i in range(m) if lit_true(test.model, soft_lits[i])}
-                sat_set.update(chosen)
-                for cand in range(m):
-                    if cand in sat_set:
-                        continue
-                    probe = session.solve([soft_lits[i] for i in sorted(sat_set)]
-                                          + [soft_lits[cand]])
-                    if probe.is_sat:
-                        sat_set.update(
-                            i for i in range(m) if lit_true(probe.model, soft_lits[i]))
-                        sat_set.add(cand)
-                excluded = [i + 1 for i in range(m) if i not in sat_set]
-                if not excluded:
-                    break  # every soft fits at once: no MUS can exist
-                map_session.add_clause(excluded)
-            else:
-                core = test.core or frozenset()
-                cur = [i for i in chosen if soft_lits[i] in core] or list(chosen)
-                i = 0
-                while i < len(cur):
-                    trial = cur[:i] + cur[i + 1:]
-                    probe = session.solve([soft_lits[j] for j in trial])
-                    if probe.is_sat:
-                        i += 1
-                    else:
-                        kept = [j for j in trial
-                                if probe.core and soft_lits[j] in probe.core]
-                        cur = kept or trial
-                        i = 0
-                muses.append(frozenset(soft_lits[j] for j in cur))
-                map_session.add_clause([-(j + 1) for j in cur])
-        muses.sort(key=lambda s: (len(s), sorted(s)))
-        return muses
-    finally:
-        if stats is not None:
-            stats.merge(session.stats)
-            stats.merge(map_session.stats)
+    m = len(soft_lits)
+    while True:
+        seed_res = map_session.solve()
+        if not seed_res.is_sat:
+            break
+        chosen = [i for i in range(m) if seed_res.model[i + 1]]
+        test = session.solve([soft_lits[i] for i in chosen])
+        if test.is_sat:
+            sat_set = {i for i in range(m) if lit_true(test.model, soft_lits[i])}
+            sat_set.update(chosen)
+            for cand in range(m):
+                if cand in sat_set:
+                    continue
+                probe = session.solve([soft_lits[i] for i in sorted(sat_set)]
+                                      + [soft_lits[cand]])
+                if probe.is_sat:
+                    sat_set.update(
+                        i for i in range(m) if lit_true(probe.model, soft_lits[i]))
+                    sat_set.add(cand)
+            excluded = [i + 1 for i in range(m) if i not in sat_set]
+            if not excluded:
+                break  # every soft fits at once: no MUS can exist
+            map_session.add_clause(excluded)
+        else:
+            core = test.core or frozenset()
+            cur = [i for i in chosen if soft_lits[i] in core] or list(chosen)
+            i = 0
+            while i < len(cur):
+                trial = cur[:i] + cur[i + 1:]
+                probe = session.solve([soft_lits[j] for j in trial])
+                if probe.is_sat:
+                    i += 1
+                else:
+                    kept = [j for j in trial
+                            if probe.core and soft_lits[j] in probe.core]
+                    cur = kept or trial
+                    i = 0
+            muses.append(frozenset(soft_lits[j] for j in cur))
+            map_session.add_clause([-(j + 1) for j in cur])
+    muses.sort(key=lambda s: (len(s), sorted(s)))
+    return muses

@@ -12,18 +12,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .encoding import EncodingSpec
+from .encoding import SEMANTICS, EncodingSpec
 from .files import example_instance, instance_documents
-from .filters import FilterRequest, answer_query
+from .filters import ALGORITHMS, FilterRequest, answer_query, valid_pairing
 from .generate import verification_instance
 from .model import PrioritizedInstance, is_score_structured
 from .oracle import oracle_answers
 
-ALGOS_FOR = {
-    "ar": ("simple", "maxsat", "muses", "assume"),
-    "brave": ("simple", "maxsat", "muses", "assume", "cause"),
-    "iar": ("simple", "maxsat", "muses", "assume", "cause", "iarcauses", "iarfacts"),
-}
+# keys in the order ar, brave, iar: combos_for lists its cells in this order
+ALGOS_FOR = {sem: tuple(a for a in ALGORITHMS if valid_pairing(sem, a))
+             for sem in sorted(SEMANTICS)}
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 
 from repairqa.generate import priority_for_mode, random_instance
 from repairqa.model import make_answer, make_instance
+from repairqa.sat import SolverSession
 
 ALPHA, BETA, GAMMA, DELTA = 0, 1, 2, 3
 
@@ -18,6 +19,14 @@ def ex1():
         answers=[make_answer("q(a)", [[ALPHA], [BETA]])],
         labels={0: "alpha", 1: "beta", 2: "gamma", 3: "delta"},
     )
+
+
+def loaded(nvars, clauses, **kw):
+    """A solver session holding the given clauses."""
+    session = SolverSession(nvars, **kw)
+    for clause in clauses:
+        session.add_clause(clause)
+    return session
 
 
 def small_instances(count, seed=0, max_facts=7, max_conflicts=10, answers=2):

@@ -22,6 +22,8 @@ from repairqa.oracle import (enumerate_completion_repairs, enumerate_pareto_repa
 from repairqa.sat import SAT, UNSAT, enumerate_mus, maximize_soft, solve_clauses
 from repairqa.verify import ALGOS_FOR, run_verification
 
+from conftest import loaded
+
 REPORT = []
 
 
@@ -207,7 +209,7 @@ def test_criterion_5_solver_correctness():
             for s in softs:
                 counts += (idx >> (s - 1) & 1).astype(np.uint8)
             best = int(counts[table].max()) if want_sat else None
-            res = maximize_soft(nvars, clauses, softs)
+            res = maximize_soft(loaded(nvars, clauses), softs)
             if want_sat:
                 if res.status != SAT or res.optimum != best:
                     mismatches += 1
@@ -216,7 +218,7 @@ def test_criterion_5_solver_correctness():
                 mismatches += 1
                 continue
             if want_sat and softs:
-                muses = enumerate_mus(nvars, clauses, softs)
+                muses = enumerate_mus(loaded(nvars, clauses), softs)
                 singles = {next(iter(s)) for s in muses if len(s) == 1}
                 scan = set()
                 for s in softs:

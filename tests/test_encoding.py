@@ -168,7 +168,7 @@ class TestEncodeMax:
     def test_p2_scope_stays_in_closure(self, ex1):
         f = CnfFormula()
         clauses, used = encode_max(f, ex1, "p2", {BETA})
-        closure = reachable_minus_set(ex1.conflicts, ex1.priority, {BETA})
+        closure = reachable_minus_set(ex1.dcg(), ex1.priority, {BETA})
         assert used <= closure | {ALPHA, GAMMA}
         for clause in clauses:
             assert {k for _, k in fact_clause(f, clause)} <= used

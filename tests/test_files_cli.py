@@ -108,6 +108,14 @@ class TestFilterCommand:
                      "--algo", "iarcauses", "--kb", kb, "--ans", ans])
         assert code == 2
 
+    @pytest.mark.parametrize("repeat", ["0", "-1"])
+    def test_bench_repeat_below_one_exits_2(self, fixture_paths, capsys, repeat):
+        kb, ans = fixture_paths
+        code = main(["bench", "--sem", "brave", "--repair", "s", "--algo", "simple",
+                     "--kb", kb, "--ans", ans, "--repeat", repeat])
+        assert code == 2
+        assert "--repeat" in capsys.readouterr().err
+
     def test_budget_exhaustion_exits_3(self, tmp_path):
         inst = make_instance(range(3), [(0, 1), (1, 2), (0, 2)],
                              answers=[make_answer("a", [[0]]),

@@ -1,5 +1,6 @@
 import pytest
 
+from repairqa import filters
 from repairqa.encoding import EncodingSpec
 from repairqa.errors import PairingError
 from repairqa.filters import (CLASS_AR, CLASS_IAR, CLASS_TRIVIAL, FilterRequest,
@@ -7,6 +8,7 @@ from repairqa.filters import (CLASS_AR, CLASS_IAR, CLASS_TRIVIAL, FilterRequest,
                               extract_trivial_answers, remove_self_inconsistent)
 from repairqa.model import make_answer, make_instance
 from repairqa.oracle import oracle_answers
+from repairqa.sat import SolverSession
 
 from conftest import small_instances
 
@@ -153,6 +155,35 @@ class TestPipelineMechanics:
         one = run(inst1, "iar", "p", "iarfacts")
         two = run(inst2, "iar", "p", "iarfacts")
         assert one.solver_stats["solve_calls"] == two.solver_stats["solve_calls"]
+
+    @pytest.mark.parametrize("sem, algo, causes, want", [
+        ("brave", "maxsat", {"a": [[0]], "b": [[1]]}, {"a", "b"}),
+        ("iar", "iarfacts", {"a": [[0], [1]]}, set()),
+    ])
+    def test_sweep_loads_each_formula_into_one_session(self, monkeypatch, sem,
+                                                       algo, causes, want):
+        # 0 and 1 clash without priority, so no one model shows both
+        # activators: the sweep needs a second round
+        counts = {"sessions": 0, "formulas": 0, "rounds": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SolverSession, "__init__",
+                            counting("sessions", SolverSession.__init__))
+        monkeypatch.setattr(filters, "build_multi_formula",
+                            counting("formulas", filters.build_multi_formula))
+        monkeypatch.setattr(filters, "maximize_soft",
+                            counting("rounds", filters.maximize_soft))
+        inst = make_instance(range(2), [(0, 1)],
+                             answers=[make_answer(a, c) for a, c in causes.items()])
+        assert run(inst, sem, "s", algo).answers == want
+        assert counts["formulas"] == 1
+        assert counts["rounds"] >= 2
+        assert counts["sessions"] == counts["formulas"]
 
     def test_timings_reported(self, ex1):
         report = run(ex1, "iar", "c", "iarcauses")

@@ -73,14 +73,14 @@ class TestReachability:
         assert reachable_set(dcg, {1}) == {0, 1}
 
     def test_minus_closure_no_dominators(self, ex1):
-        assert reachable_minus_set(ex1.conflicts, ex1.priority, {ALPHA}) == {ALPHA}
+        assert reachable_minus_set(ex1.dcg(), ex1.priority, {ALPHA}) == {ALPHA}
 
     def test_minus_closure_two_steps(self, ex1):
-        assert reachable_minus_set(ex1.conflicts, ex1.priority, {BETA}) == {BETA, DELTA}
+        assert reachable_minus_set(ex1.dcg(), ex1.priority, {BETA}) == {BETA, DELTA}
 
     def test_minus_closure_empty_priority(self):
-        cs = conflicts((0, 1), (1, 2))
-        assert reachable_minus_set(cs, PriorityRelation(), {0, 2}) == {0, 2}
+        dcg = directed_conflict_graph(conflicts((0, 1), (1, 2)), PriorityRelation())
+        assert reachable_minus_set(dcg, PriorityRelation(), {0, 2}) == {0, 2}
 
 
 class TestScorePriority:
@@ -188,7 +188,7 @@ def test_minus_closure_replays_its_rule(pairs, seed, seed_facts):
     cs = ConflictSet(pairs)
     prio = _prio_for(pairs, seed, 0.7)
     dcg = directed_conflict_graph(cs, prio)
-    closure = reachable_minus_set(cs, prio, seed_facts)
+    closure = reachable_minus_set(dcg, prio, seed_facts)
     assert seed_facts <= closure
     # every non-seed member is justified by the step rule, and the set is closed
     justified = set(seed_facts)

@@ -7,6 +7,8 @@ from repairqa.errors import BudgetExceededError
 from repairqa.sat import (SAT, UNSAT, SolverSession, enumerate_mus, lit_true,
                           maximize_soft, solve_clauses)
 
+from conftest import loaded
+
 
 def brute_models(n, clauses):
     for bits in itertools.product([False, True], repeat=n):
@@ -89,19 +91,19 @@ class TestAssumptions:
 
 class TestMaximizeSoft:
     def test_mutual_exclusion(self):
-        res = maximize_soft(2, [[-1, -2]], [1, 2])
+        res = maximize_soft(loaded(2, [[-1, -2]]), [1, 2])
         assert res.status == SAT and res.optimum == 1
 
     def test_no_hard_clauses(self):
-        res = maximize_soft(3, [], [1, 2, 3])
+        res = maximize_soft(loaded(3, []), [1, 2, 3])
         assert res.optimum == 3
 
     def test_unsat_hard(self):
-        res = maximize_soft(1, [[1], [-1]], [1])
+        res = maximize_soft(loaded(1, [[1], [-1]]), [1])
         assert res.status == UNSAT and res.optimum == 0
 
     def test_fixed_assumptions_respected(self):
-        res = maximize_soft(2, [], [1, 2], fixed_assumptions=[-1])
+        res = maximize_soft(loaded(2, []), [1, 2], assumptions=[-1])
         assert res.optimum == 1 and not res.model[1]
 
     def test_random_agreement_with_brute_force(self):
@@ -114,31 +116,54 @@ class TestMaximizeSoft:
             softs = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
             best = max((sum(m[s] for s in softs) for m in brute_models(n, clauses)),
                        default=None)
-            res = maximize_soft(n, clauses, softs)
+            res = maximize_soft(loaded(n, clauses), softs)
             if best is None:
                 assert res.status == UNSAT
             else:
                 assert res.status == SAT and res.optimum == best
                 assert sum(1 for s in softs if lit_true(res.model, s)) == best
 
+    def test_one_session_many_soft_sets(self):
+        # counters are cached per soft set: reusing a session across soft
+        # sets and assumptions must keep every optimum exact
+        rng = random.Random(17)
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            clauses = [[rng.choice([-1, 1]) * rng.randint(1, n)
+                        for _ in range(rng.randint(1, 3))]
+                       for _ in range(rng.randint(0, 14))]
+            session = loaded(n, clauses)
+            for _ in range(4):
+                softs = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+                assumps = [rng.choice([-1, 1]) * rng.randint(1, n)
+                           for _ in range(rng.randint(0, 2))]
+                units = clauses + [[a] for a in assumps]
+                best = max((sum(m[s] for s in softs) for m in brute_models(n, units)),
+                           default=None)
+                res = maximize_soft(session, softs, assumps)
+                if best is None:
+                    assert res.status == UNSAT
+                else:
+                    assert res.status == SAT and res.optimum == best
+
 
 class TestEnumerateMus:
     def test_single_blocked_soft(self):
-        assert enumerate_mus(2, [[-1]], [1, 2]) == [frozenset({1})]
+        assert enumerate_mus(loaded(2, [[-1]]), [1, 2]) == [frozenset({1})]
 
     def test_forced_chain(self):
-        assert enumerate_mus(2, [[-1, -2], [2]], [1]) == [frozenset({1})]
+        assert enumerate_mus(loaded(2, [[-1, -2], [2]]), [1]) == [frozenset({1})]
 
     def test_unsat_hard_marker(self):
-        assert enumerate_mus(1, [[1], [-1]], [1]) == [frozenset()]
+        assert enumerate_mus(loaded(1, [[1], [-1]]), [1]) == [frozenset()]
 
     def test_no_mus_when_all_fit(self):
-        assert enumerate_mus(2, [[1, 2]], [1, 2]) == []
+        assert enumerate_mus(loaded(2, [[1, 2]]), [1, 2]) == []
 
     def test_pairwise_conflicts(self):
         # any two of the three softs clash, every single one is fine
         hard = [[-1, -2], [-1, -3], [-2, -3]]
-        muses = enumerate_mus(3, hard, [1, 2, 3])
+        muses = enumerate_mus(loaded(3, hard), [1, 2, 3])
         assert muses == [frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})]
 
     def test_singletons_match_unsat_scan(self):
@@ -151,7 +176,7 @@ class TestEnumerateMus:
             if not brute_sat(n, clauses):
                 continue
             softs = sorted(rng.sample(range(1, n + 1), rng.randint(0, min(n, 5))))
-            muses = enumerate_mus(n, clauses, softs)
+            muses = enumerate_mus(loaded(n, clauses), softs)
             singles = {next(iter(s)) for s in muses if len(s) == 1}
             scan = {s for s in softs if not brute_sat(n, clauses + [[s]])}
             assert singles == scan
@@ -167,7 +192,7 @@ class TestBudget:
         # forcing >0 softs over a chain of exclusions needs real search
         hard = [[-1, -2], [-2, -3], [-1, -3]]
         with pytest.raises(BudgetExceededError):
-            maximize_soft(3, hard, [1, 2, 3], conflict_budget=0)
+            maximize_soft(loaded(3, hard, conflict_budget=0), [1, 2, 3])
 
     def test_level_zero_refutation_is_not_budget(self):
         res = solve_clauses(1, [[1], [-1]], conflict_budget=0)
