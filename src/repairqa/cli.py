@@ -139,6 +139,10 @@ def cmd_geninstance(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        print(f"error: --trials must be at least 1, got {args.trials}",
+              file=sys.stderr)
+        return EXIT_BAD_COMBINATION
     outcome = run_verification(args.trials, max_facts=args.max_facts,
                                seed=args.seed, mutate=args.mutate,
                                conflict_budget=args.budget, jobs=args.jobs)

@@ -3,8 +3,9 @@
 Builds CNF formulas whose models correspond to partial fact selections
 extendable to an optimal repair, combined with clauses that force or block
 query supports. Two blocking-clause variants are supported, three maximality
-encodings (plus the trivial one for plain subset repairs), and both
-single-target and multi-target (activator-literal) assembly modes.
+encodings (plus the trivial one for plain subset repairs), and one assembler:
+every target gets an activator literal, and a single-target formula is the
+one-target formula with its activator asserted.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ VarKey = tuple
 SEMANTICS = ("ar", "iar", "brave")
 REPAIRS = ("s", "p", "c")
 MAX_VARIANTS = ("s", "p1", "p2", "c")
+# maximality encodings serving each repair notion, the default first; the
+# completion notion may borrow p1/p2 only under score-structured priorities
+MAXIMALITY = {"s": ("s",), "p": ("p1", "p2"), "c": ("c", "p1", "p2")}
 
 DEFAULT_NODE_CAP = 64
 
@@ -47,8 +51,7 @@ class EncodingSpec:
             raise ValueError(f"unknown maximality variant {self.max_variant!r}")
         if self.neg_variant not in (1, 2):
             raise ValueError(f"blocking variant must be 1 or 2, got {self.neg_variant}")
-        allowed = {"s": ("s",), "p": ("p1", "p2"), "c": ("c", "p1", "p2")}[self.repair]
-        if self.max_variant not in allowed:
+        if self.max_variant not in MAXIMALITY[self.repair]:
             raise ValueError(
                 f"maximality {self.max_variant!r} incompatible with repair {self.repair!r}")
 
@@ -172,15 +175,6 @@ def encode_neg_query(formula: CnfFormula, instance: PrioritizedInstance,
         clauses.extend(encode_neg_cause(formula, instance, cause, variant,
                                         activator=activator))
     return clauses
-
-
-def encode_pos_cause(formula: CnfFormula,
-                     cause: Iterable[FactId]) -> list[tuple[int, ...]]:
-    """Force every fact of the cause into the selection."""
-    cause = sorted(set(cause))
-    if not cause:
-        raise ValueError("empty cause")
-    return [formula.add([formula.fact_var(a)]) for a in cause]
 
 
 def encode_pos_query(formula: CnfFormula, answer: PotentialAnswer,
@@ -340,49 +334,24 @@ def build_single_formula(instance: PrioritizedInstance, spec: EncodingSpec,
                          omit_acyclicity: bool = False) -> CnfFormula:
     """Formula deciding one answer, cause, or fact under the chosen semantics.
 
-    Satisfiability answers the query: a "brave" formula is satisfiable iff the
-    target holds in some optimal repair; an "ar"/"iar" formula is
+    It is the one-target multi formula with the target's activator asserted,
+    so satisfiability answers the query: a "brave" formula is satisfiable iff
+    the target holds in some optimal repair; an "ar"/"iar" formula is
     unsatisfiable iff the target holds in every optimal repair (respectively
     their intersection).
     """
-    instance = effective_instance(instance, spec)
-    formula = CnfFormula()
-    if isinstance(target, PotentialAnswer):
-        kind = "answer"
-    elif isinstance(target, (set, frozenset)):
-        kind = "cause"
-    elif isinstance(target, int):
-        kind = "fact"
-    else:
+    if not isinstance(target, (PotentialAnswer, set, frozenset, int)):
         raise TypeError(f"unsupported target {target!r}")
-
-    sem = spec.semantics
-    if sem == "ar":
-        if kind != "answer":
-            raise ValueError("ar formulas take a whole answer as target")
-        base = encode_neg_query(formula, instance, target, spec.neg_variant)
-        _scoped_block(formula, instance, spec, base, None, node_cap, omit_acyclicity)
-    elif sem == "brave":
-        if kind == "answer":
-            base = encode_pos_query(formula, target)
-        elif kind == "cause":
-            base = encode_pos_cause(formula, target)
-        else:
-            raise ValueError("brave formulas take an answer or a cause as target")
-        _scoped_block(formula, instance, spec, base, None, node_cap, omit_acyclicity)
-    else:  # iar
-        if kind == "answer":
-            # independent sub-problems per cause, on disjoint variables
-            for i, cause in enumerate(target.causes):
-                base = encode_neg_cause(formula, instance, cause,
-                                        spec.neg_variant, ns=i)
-                _scoped_block(formula, instance, spec, base, i,
-                              node_cap, omit_acyclicity)
-        else:
-            cause = {target} if kind == "fact" else set(target)
-            base = encode_neg_cause(formula, instance, cause, spec.neg_variant)
-            _scoped_block(formula, instance, spec, base, None,
-                          node_cap, omit_acyclicity)
+    if spec.semantics == "ar" and not isinstance(target, PotentialAnswer):
+        raise ValueError("ar formulas take a whole answer as target")
+    if spec.semantics == "brave" and isinstance(target, int):
+        raise ValueError("brave formulas take an answer or a cause as target")
+    if isinstance(target, (set, frozenset)):
+        target = PotentialAnswer("cause", (frozenset(target),))
+    formula = build_multi_formula(instance, spec, [target], node_cap=node_cap,
+                                  omit_acyclicity=omit_acyclicity)
+    formula.add(formula.soft_units)
+    formula.soft_units.clear()
     return formula
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from typing import Optional
+
 from .errors import InputError
 from .filters import FilterReport
 from .model import PrioritizedInstance, make_answer, make_instance
@@ -28,16 +30,34 @@ def _load_json(path: str):
                          f"column {err.colno}: {err.msg}") from None
 
 
-def parse_instance(kb_doc, answers_doc, source: str = "<input>") -> PrioritizedInstance:
-    try:
-        fact_entries = kb_doc["facts"]
-        conflict_entries = kb_doc.get("conflicts", [])
-        priority_entries = kb_doc.get("priority", [])
-    except (TypeError, KeyError) as err:
-        raise InputError(f"{source}: missing field {err}") from None
+def _is_fact_list(entry) -> bool:
+    return isinstance(entry, list) and all(isinstance(f, int) for f in entry)
+
+
+def _list_field(doc, name: str, source: str, required: bool = False) -> list:
+    if not isinstance(doc, dict):
+        raise InputError(f"{source}: expected a JSON object, got {type(doc).__name__}")
+    if required and name not in doc:
+        raise InputError(f"{source}: missing field {name!r}")
+    value = doc.get(name, [])
+    if not isinstance(value, list):
+        raise InputError(f"{source}: field {name!r} is not a list")
+    return value
+
+
+def parse_instance(kb_doc, answers_doc, source: str = "<input>",
+                   answers_source: Optional[str] = None) -> PrioritizedInstance:
+    """Validate both documents; errors name `source` for the knowledge base
+    and `answers_source` (default: `source`) for the answers."""
+    ans_source = answers_source or source
+    fact_entries = _list_field(kb_doc, "facts", source, required=True)
+    conflict_entries = _list_field(kb_doc, "conflicts", source)
+    priority_entries = _list_field(kb_doc, "priority", source)
     labels = {}
     ids = []
     for entry in fact_entries:
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise InputError(f"{source}: fact {entry!r} is not an object with an \"id\"")
         fid = entry["id"]
         if not isinstance(fid, int) or fid < 0:
             raise InputError(f"{source}: fact id {fid!r} is not a non-negative integer")
@@ -49,7 +69,7 @@ def parse_instance(kb_doc, answers_doc, source: str = "<input>") -> PrioritizedI
     pairs = []
     unary = []
     for entry in conflict_entries:
-        if not isinstance(entry, list) or not 1 <= len(entry) <= 2:
+        if not _is_fact_list(entry) or not 1 <= len(entry) <= 2:
             raise InputError(f"{source}: conflict {entry!r} is not a 1- or 2-element list")
         stray = set(entry) - known
         if stray:
@@ -61,7 +81,7 @@ def parse_instance(kb_doc, answers_doc, source: str = "<input>") -> PrioritizedI
             pairs.append((entry[0], entry[1]))
     edges = []
     for entry in priority_entries:
-        if not isinstance(entry, list) or len(entry) != 2:
+        if not _is_fact_list(entry) or len(entry) != 2:
             raise InputError(f"{source}: priority entry {entry!r} is not a pair")
         stray = set(entry) - known
         if stray:
@@ -70,21 +90,29 @@ def parse_instance(kb_doc, answers_doc, source: str = "<input>") -> PrioritizedI
         edges.append((entry[0], entry[1]))
     answers = []
     seen_ids = set()
-    for entry in answers_doc.get("answers", []):
+    for entry in _list_field(answers_doc, "answers", ans_source):
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+            raise InputError(f"{ans_source}: answer {entry!r} is not an object "
+                             "with a string \"id\"")
         aid = entry["id"]
         if aid in seen_ids:
-            raise InputError(f"{source}: duplicate answer id {aid!r}")
+            raise InputError(f"{ans_source}: duplicate answer id {aid!r}")
         seen_ids.add(aid)
         causes = entry.get("causes", [])
         if not causes:
-            raise InputError(f"{source}: answer {aid!r} has no causes")
+            raise InputError(f"{ans_source}: answer {aid!r} has no causes")
+        if not isinstance(causes, list):
+            raise InputError(f"{ans_source}: causes of answer {aid!r} are not a list")
         for cause in causes:
+            if not _is_fact_list(cause):
+                raise InputError(f"{ans_source}: cause {cause!r} of answer {aid!r} "
+                                 "is not a list of fact ids")
             stray = set(cause) - known
             if stray:
-                raise InputError(f"{source}: cause {cause!r} of answer {aid!r} "
+                raise InputError(f"{ans_source}: cause {cause!r} of answer {aid!r} "
                                  f"references unknown facts {sorted(stray)}")
             if not cause:
-                raise InputError(f"{source}: answer {aid!r} has an empty cause")
+                raise InputError(f"{ans_source}: answer {aid!r} has an empty cause")
         answers.append(make_answer(aid, causes))
     try:
         return make_instance(ids, pairs, edges, answers, self_inconsistent=unary,
@@ -96,7 +124,8 @@ def parse_instance(kb_doc, answers_doc, source: str = "<input>") -> PrioritizedI
 def load_instance(kb_path: str, answers_path: str) -> PrioritizedInstance:
     kb_doc = _load_json(kb_path)
     answers_doc = _load_json(answers_path)
-    return parse_instance(kb_doc, answers_doc, source=kb_path)
+    return parse_instance(kb_doc, answers_doc, source=kb_path,
+                          answers_source=answers_path)
 
 
 def instance_documents(instance: PrioritizedInstance, query: str = "q"):

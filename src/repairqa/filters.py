@@ -13,11 +13,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .encoding import (DEFAULT_NODE_CAP, CnfFormula, EncodingSpec,
+from .encoding import (DEFAULT_NODE_CAP, MAXIMALITY, CnfFormula, EncodingSpec,
                        build_multi_formula, build_single_formula,
                        effective_instance)
 from .errors import BudgetExceededError, PairingError
-from .model import FactId, PotentialAnswer, PrioritizedInstance, is_score_structured
+from .model import (FactId, PotentialAnswer, PrioritizedInstance, is_score_structured,
+                    make_instance)
 from .sat import UNSAT, SolverSession, SolverStats, enumerate_mus, maximize_soft
 
 ALGORITHMS = ("simple", "maxsat", "muses", "assume", "cause", "iarcauses", "iarfacts")
@@ -80,7 +81,6 @@ def remove_self_inconsistent(instance: PrioritizedInstance
         causes = [c for c in ans.causes if not (c & bad)]
         if causes:
             answers.append(PotentialAnswer(ans.answer_id, tuple(causes)))
-    from .model import make_instance
     cleaned = make_instance((f for f in instance.universe if f not in bad),
                             pairs, edges, answers, labels=instance.labels)
     return cleaned, frozenset(bad)
@@ -343,7 +343,7 @@ def classify_answers(instance: PrioritizedInstance, repair_type: str,
                      conflict_budget: Optional[int] = None,
                      node_cap: int = DEFAULT_NODE_CAP) -> dict[str, str]:
     """Bucket every answer by the strongest semantics it satisfies."""
-    max_variant = {"s": "s", "p": "p1", "c": "c"}[repair_type]
+    max_variant = MAXIMALITY[repair_type][0]
     reports = {}
     for sem in ("iar", "ar", "brave"):
         algo = algorithm if valid_pairing(sem, algorithm) else "simple"

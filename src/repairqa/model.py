@@ -386,16 +386,17 @@ class PrioritizedInstance:
     def dcg(self) -> DirectedConflictGraph:
         return self._dcg
 
-    def answer_ids(self) -> list[str]:
-        return [a.answer_id for a in self.answers]
-
     def with_priority(self, priority: PriorityRelation) -> "PrioritizedInstance":
         return PrioritizedInstance(self.universe, self.conflicts, priority,
                                    self.answers, self.labels)
 
     def with_answers(self, answers: Sequence[PotentialAnswer]) -> "PrioritizedInstance":
-        return PrioritizedInstance(self.universe, self.conflicts, self.priority,
-                                   tuple(answers), self.labels)
+        """Same conflicts and priority, so a graph already built carries over."""
+        out = PrioritizedInstance(self.universe, self.conflicts, self.priority,
+                                  tuple(answers), self.labels)
+        if "_dcg" in self.__dict__:
+            out.__dict__["_dcg"] = self._dcg
+        return out
 
 
 def make_instance(universe: Iterable[FactId],

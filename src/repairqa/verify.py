@@ -9,10 +9,11 @@ disagreement is reported with the instance spelled out in full.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
-from .encoding import SEMANTICS, EncodingSpec
+from .encoding import MAXIMALITY, SEMANTICS, EncodingSpec
 from .files import example_instance, instance_documents
 from .filters import ALGORITHMS, FilterRequest, answer_query, valid_pairing
 from .generate import verification_instance
@@ -42,11 +43,8 @@ def combos_for(instance: PrioritizedInstance) -> list[Combo]:
     runs a single one.
     """
     score = is_score_structured(instance.conflicts, instance.priority)
-    variants = {
-        "s": ("s",),
-        "p": ("p1", "p2"),
-        "c": ("c", "p1", "p2") if score else ("c",),
-    }
+    variants = {repair: mvs if score or repair != "c" else ("c",)
+                for repair, mvs in MAXIMALITY.items()}
     out = []
     for sem, algos in ALGOS_FOR.items():
         negs = (1, 2) if sem in ("ar", "iar") else (1,)
@@ -95,9 +93,9 @@ class VerifyOutcome:
 
 def check_instance(instance: PrioritizedInstance, trial: int = 0,
                    mutate: Optional[str] = None,
-                   conflict_budget: Optional[int] = None,
-                   stop_on_first: bool = True) -> tuple[int, list[Mismatch]]:
-    """Compare the pipeline against the oracle on one instance."""
+                   conflict_budget: Optional[int] = None) -> tuple[int, list[Mismatch]]:
+    """Compare the pipeline against the oracle on one instance, up to the
+    first mismatch."""
     omit_acyc = mutate == "drop-acyc"
     expected: dict[tuple[str, str], frozenset[str]] = {}
     for sem in ("ar", "iar", "brave"):
@@ -118,62 +116,35 @@ def check_instance(instance: PrioritizedInstance, trial: int = 0,
             mismatches.append(Mismatch(trial, combo, tuple(sorted(want)),
                                        tuple(sorted(report.answers)),
                                        kb_doc, ans_doc))
-            if stop_on_first:
-                break
+            break
     return checked, mismatches
 
 
-def _instances(trials: int, seed: int, max_facts: int,
-               include_example: bool) -> Iterable[tuple[int, PrioritizedInstance]]:
-    start = 0
-    if include_example:
-        yield 0, example_instance()
-        start = 1
-    for i in range(start, trials):
-        yield i, verification_instance(i, seed, max_facts=max_facts)
-
-
-def _worker(args) -> tuple[int, int, list[Mismatch]]:
+def _worker(args) -> tuple[int, list[Mismatch]]:
     trial, seed, max_facts, mutate, budget, is_example = args
     instance = example_instance() if is_example else \
         verification_instance(trial, seed, max_facts=max_facts)
-    checked, mismatches = check_instance(instance, trial, mutate, budget)
-    return 1, checked, mismatches
+    return check_instance(instance, trial, mutate, budget)
 
 
 def run_verification(trials: int, max_facts: int = 8, seed: int = 0,
                      mutate: Optional[str] = None,
                      conflict_budget: Optional[int] = None,
                      include_example: bool = True,
-                     jobs: int = 1,
-                     stop_on_first: bool = True) -> VerifyOutcome:
-    """Run the agreement suite over the fixture plus seeded random instances."""
+                     jobs: int = 1) -> VerifyOutcome:
+    """Run the agreement suite over the fixture plus seeded random instances,
+    stopping at the first trial with a mismatch."""
     if mutate not in (None, "drop-acyc"):
         raise ValueError(f"unknown mutation {mutate!r}")
+    tasks = [(i, seed, max_facts, mutate, conflict_budget, include_example and i == 0)
+             for i in range(trials)]
     outcome = VerifyOutcome()
-    if jobs > 1:
-        tasks = []
-        start = 0
-        if include_example:
-            tasks.append((0, seed, max_facts, mutate, conflict_budget, True))
-            start = 1
-        tasks += [(i, seed, max_facts, mutate, conflict_budget, False)
-                  for i in range(start, trials)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for done, checked, mismatches in pool.map(_worker, tasks, chunksize=8):
-                outcome.trials += done
-                outcome.combos_checked += checked
-                outcome.mismatches.extend(mismatches)
-                if mismatches and stop_on_first:
-                    break
-        return outcome
-    for trial, instance in _instances(trials, seed, max_facts, include_example):
-        checked, mismatches = check_instance(instance, trial, mutate,
-                                             conflict_budget,
-                                             stop_on_first=stop_on_first)
-        outcome.trials += 1
-        outcome.combos_checked += checked
-        outcome.mismatches.extend(mismatches)
-        if mismatches and stop_on_first:
-            break
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        results = pool.map(_worker, tasks, chunksize=8) if pool else map(_worker, tasks)
+        for checked, mismatches in results:
+            outcome.trials += 1
+            outcome.combos_checked += checked
+            outcome.mismatches.extend(mismatches)
+            if mismatches:
+                break
     return outcome

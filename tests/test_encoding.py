@@ -3,7 +3,7 @@ import pytest
 from repairqa.encoding import (CnfFormula, EncodingSpec, build_multi_formula,
                                build_single_formula, encode_consistency,
                                encode_max, encode_neg_cause, encode_neg_query,
-                               encode_pos_cause, encode_pos_query, export_dimacs)
+                               encode_pos_query, export_dimacs)
 from repairqa.errors import CapacityError
 from repairqa.model import make_answer, make_instance, reachable_minus_set
 from repairqa.oracle import enumerate_pareto_repairs
@@ -96,12 +96,6 @@ class TestNegQuery:
 
 
 class TestPosQuery:
-    def test_pos_cause_units(self, ex1):
-        f = CnfFormula()
-        clauses = encode_pos_cause(f, {ALPHA, GAMMA})
-        assert [fact_clause(f, c) for c in clauses] == [
-            {(True, ALPHA)}, {(True, GAMMA)}]
-
     def test_selector_expansion(self, ex1):
         f = CnfFormula()
         clauses = encode_pos_query(f, ex1.answers[0])

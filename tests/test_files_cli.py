@@ -10,6 +10,7 @@ from repairqa.files import (example_instance, instance_documents, load_instance,
                             parse_instance, save_instance)
 from repairqa.generate import random_instance
 from repairqa.model import make_answer, make_instance
+from repairqa.verify import run_verification
 
 
 def write(tmp_path, name, doc):
@@ -115,6 +116,35 @@ class TestFilterCommand:
                      "--kb", kb, "--ans", ans, "--repeat", repeat])
         assert code == 2
         assert "--repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-4"])
+    def test_verify_trials_below_one_exits_2(self, capsys, trials):
+        assert main(["verify", "--trials", trials, "--seed", "0"]) == 2
+        assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kb_doc, ans_doc, bad", [
+        ({"facts": [{"label": "x"}]}, {"answers": []}, "kb"),
+        ({"facts": [1, 2]}, {"answers": []}, "kb"),
+        ([1, 2], {"answers": []}, "kb"),
+        ({"facts": [{"id": 0}], "conflicts": [[0, [1]]]}, {"answers": []}, "kb"),
+        ({"facts": [{"id": 0}]}, [1, 2], "ans"),
+        ({"facts": [{"id": 0}]}, {"answers": [{"causes": [[0]]}]}, "ans"),
+        ({"facts": [{"id": 0}]}, {"answers": [{"id": "a", "causes": [0]}]}, "ans"),
+        ({"facts": [{"id": 0}]}, {"answers": [{"id": "a", "causes": [[0]]},
+                                              {"id": "a", "causes": [[0]]}]}, "ans"),
+    ], ids=["fact-without-id", "facts-not-objects", "kb-not-object",
+            "conflict-not-fact-ids", "answers-not-object", "answer-without-id",
+            "cause-not-list", "duplicate-answer-id"])
+    def test_malformed_input_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                      kb_doc, ans_doc, bad):
+        paths = {"kb": write(tmp_path, "kb.json", kb_doc),
+                 "ans": write(tmp_path, "ans.json", ans_doc)}
+        code = main(["filter", "--sem", "brave", "--repair", "s", "--algo", "simple",
+                     "--kb", paths["kb"], "--ans", paths["ans"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        other = "ans" if bad == "kb" else "kb"
+        assert paths[bad] in err and paths[other] not in err
 
     def test_budget_exhaustion_exits_3(self, tmp_path):
         inst = make_instance(range(3), [(0, 1), (1, 2), (0, 2)],
@@ -235,6 +265,14 @@ class TestVerifyCommand:
         assert main(["verify", "--trials", "6", "--seed", "4",
                      "--jobs", "2"]) == 0
         assert "mismatches: 0" in capsys.readouterr().out
+
+    def test_parallel_run_stops_where_the_serial_one_does(self):
+        serial, parallel = (run_verification(2, seed=0, mutate="drop-acyc", jobs=jobs)
+                            for jobs in (1, 2))
+        assert parallel.trials == serial.trials
+        assert parallel.combos_checked == serial.combos_checked
+        first = [(o.mismatches[0].trial, o.mismatches[0].combo) for o in (serial, parallel)]
+        assert first[0] == first[1]
 
 
 class TestBenchCommand:

@@ -1,6 +1,6 @@
 import pytest
 
-from repairqa import filters
+from repairqa import filters, model
 from repairqa.encoding import EncodingSpec
 from repairqa.errors import PairingError
 from repairqa.filters import (CLASS_AR, CLASS_IAR, CLASS_TRIVIAL, FilterRequest,
@@ -184,6 +184,20 @@ class TestPipelineMechanics:
         assert counts["formulas"] == 1
         assert counts["rounds"] >= 2
         assert counts["sessions"] == counts["formulas"]
+
+    def test_conflict_graph_built_once_per_request(self, monkeypatch, ex1):
+        build = model.directed_conflict_graph
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(model, "directed_conflict_graph", counting)
+        fresh = make_instance(ex1.universe, ex1.conflicts.sorted_pairs(),
+                              ex1.priority.sorted_edges(), ex1.answers)
+        assert run(fresh, "iar", "c", "iarcauses").answers == {"q(a)"}
+        assert len(calls) == 1
 
     def test_timings_reported(self, ex1):
         report = run(ex1, "iar", "c", "iarcauses")
