@@ -3,8 +3,9 @@
 Subcommands: filter (answer a query under a chosen semantics), genpriority
 (derive a priority relation for an instance), geninstance (synthesize a
 random instance), verify (agreement suite against the brute-force oracle),
-and bench (timing table). Exit codes: 0 success, 2 invalid combination or
-input, 3 solver budget exhausted (partial results flagged).
+and bench (timing table with solver counters). Exit codes: 0 success,
+2 invalid combination or input, 3 solver budget exhausted (partial results
+flagged).
 """
 
 from __future__ import annotations
@@ -172,7 +173,6 @@ def cmd_bench(args) -> int:
                   file=sys.stderr)
             return EXIT_BAD_COMBINATION
         pre = flt = 0.0
-        count = None
         complete = True
         for _ in range(args.repeat):
             report = answer_query(FilterRequest(
@@ -180,7 +180,6 @@ def cmd_bench(args) -> int:
                 node_cap=args.node_cap, seed=args.seed))
             pre += report.timings_ms["preprocess_ms"]
             flt += report.timings_ms["filter_ms"]
-            count = len(report.answers)
             complete = complete and report.complete
         rows.append({
             "semantics": args.sem,
@@ -189,10 +188,13 @@ def cmd_bench(args) -> int:
             "algorithm": algo,
             "preprocess_ms": round(pre / args.repeat, 3),
             "filter_ms": round(flt / args.repeat, 3),
-            "result_count": count,
+            "result_count": len(report.answers),
+            "complete": complete,
+            **{key: report.solver_stats[key]
+               for key in ("decisions", "conflicts", "propagations")},
         })
         if not complete:
-            return EXIT_BUDGET
+            break
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -203,7 +205,7 @@ def cmd_bench(args) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return EXIT_OK if rows[-1]["complete"] else EXIT_BUDGET
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,7 @@ once and then asked many questions under assumptions.
 
 Everything is deterministic: decisions pick the lowest unassigned variable,
 positive phase first; a nonzero seed only flips phases, never verdicts.
+Branching is amortised through a scan cursor that backtracking lowers again.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ class SolverSession:
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
+        self._cursor = 1  # every variable below it is assigned
         self.ensure_vars(nvars)
 
     # ------------------------------------------------------------------
@@ -102,38 +104,40 @@ class SolverSession:
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a hard clause; duplicates removed, tautologies dropped."""
-        lits = list(lits)
-        for lit in lits:
-            self.ensure_vars(abs(lit))
-        self._original.append(tuple(lits))
-        seen = set()
-        out = []
-        for lit in lits:
-            if -lit in seen:
-                return  # tautology
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        if not self._ok:
-            return
+        lits = tuple(lits)
+        self._original.append(lits)
         # level-0 simplification keeps the watch invariants intact
         assert not self._trail_lim, "clauses may only be added between solves"
-        simplified = []
-        for lit in out:
-            val = self._value(lit)
-            if val is True:
-                return  # permanently satisfied
+        assign, nvars = self._assign, self.nvars
+        out: list[int] = []  # clauses are short: a list dedups faster than a set
+        keep = self._ok  # a dropped clause still grows the session
+        for lit in lits:
+            v = lit if lit > 0 else -lit
+            if v > nvars:
+                self.ensure_vars(v)
+                nvars = v
+            if not keep:
+                continue
+            val = assign[v]
             if val is None:
-                simplified.append(lit)
-        if not simplified:
-            self._ok = False
+                if lit in out:
+                    continue
+                if -lit in out:
+                    keep = False  # tautology
+                    continue
+                out.append(lit)
+            elif val == (lit > 0):
+                keep = False  # permanently satisfied
+        if not keep:
             return
-        if len(simplified) == 1:
-            self._enqueue(simplified[0], None)
+        if not out:
+            self._ok = False
+        elif len(out) == 1:
+            self._enqueue(out[0], None)
             if self._propagate() is not None:
                 self._ok = False
-            return
-        self._attach(simplified)
+        else:
+            self._attach(out)
 
     def _attach(self, clause: list[int]) -> None:
         self._clauses.append(clause)
@@ -191,9 +195,14 @@ class SolverSession:
         if self._decision_level() <= level:
             return
         limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
-            self._assign[abs(lit)] = None
-            self._reason[abs(lit)] = None
+        assign, reason, cursor = self._assign, self._reason, self._cursor
+        for lit in self._trail[limit:]:
+            v = lit if lit > 0 else -lit
+            assign[v] = None
+            reason[v] = None
+            if v < cursor:
+                cursor = v
+        self._cursor = cursor
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._qhead = min(self._qhead, len(self._trail))
@@ -234,13 +243,16 @@ class SolverSession:
         return learned, backjump
 
     def _pick_branch_lit(self) -> Optional[int]:
-        for v in range(1, self.nvars + 1):
-            if self._assign[v] is None:
-                if self.seed:
-                    flip = ((v * 2654435761 + self.seed * 40503) >> 7) & 1
-                    return -v if flip else v
-                return v
-        return None
+        assign, v, top = self._assign, self._cursor, self.nvars
+        while v <= top and assign[v] is not None:
+            v += 1
+        self._cursor = v
+        if v > top:
+            return None
+        if self.seed:
+            flip = ((v * 2654435761 + self.seed * 40503) >> 7) & 1
+            return -v if flip else v
+        return v
 
     def _analyze_final(self, failed: int) -> frozenset[int]:
         """Assumptions implicated in forcing the failed assumption false."""

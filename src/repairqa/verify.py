@@ -140,11 +140,13 @@ def run_verification(trials: int, max_facts: int = 8, seed: int = 0,
              for i in range(trials)]
     outcome = VerifyOutcome()
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        results = pool.map(_worker, tasks, chunksize=8) if pool else map(_worker, tasks)
+        results = pool.map(_worker, tasks) if pool else map(_worker, tasks)
         for checked, mismatches in results:
             outcome.trials += 1
             outcome.combos_checked += checked
             outcome.mismatches.extend(mismatches)
             if mismatches:
+                if pool:
+                    pool.shutdown(cancel_futures=True)  # drop trials not yet started
                 break
     return outcome

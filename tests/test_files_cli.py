@@ -1,13 +1,19 @@
+import csv
 import json
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repairqa import verify
 from repairqa.cli import main
 from repairqa.errors import InputError
+from repairqa.encoding import EncodingSpec
 from repairqa.files import (example_instance, instance_documents, load_instance,
                             parse_instance, save_instance)
+from repairqa.filters import FilterRequest, answer_query
 from repairqa.generate import random_instance
 from repairqa.model import make_answer, make_instance
 from repairqa.verify import run_verification
@@ -274,6 +280,41 @@ class TestVerifyCommand:
         first = [(o.mismatches[0].trial, o.mismatches[0].combo) for o in (serial, parallel)]
         assert first[0] == first[1]
 
+    def test_parallel_run_cancels_pending_trials(self, monkeypatch):
+        started = []
+        release = threading.Event()
+
+        class GatedPool(ThreadPoolExecutor):
+            """One worker thread; every trial after the first waits until the
+            pool is shut down, so only a cancelled trial never starts."""
+
+            def __init__(self, max_workers):
+                super().__init__(max_workers=1)
+
+            def map(self, fn, *iterables, **kwargs):
+                def gated(task):
+                    started.append(task[0])
+                    if task[0]:
+                        release.wait(timeout=60)
+                    return fn(task)
+                return super().map(gated, *iterables, **kwargs)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                release.set()
+                super().shutdown(wait=wait)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", GatedPool)
+        outcome = run_verification(20, seed=0, mutate="drop-acyc", jobs=2)
+        assert outcome.trials == 1 and outcome.mismatches
+        # trial 0 mismatches; at most the trial the worker had taken runs too
+        assert started[0] == 0 and len(started) <= 2
+
+
+BENCH_HEADER = ["semantics", "repair", "encoding", "algorithm", "preprocess_ms",
+                "filter_ms", "result_count", "complete", "decisions", "conflicts",
+                "propagations"]
+
 
 class TestBenchCommand:
     def test_rows_consistent_across_algorithms(self, fixture_paths, tmp_path):
@@ -282,12 +323,41 @@ class TestBenchCommand:
         assert main(["bench", "--sem", "iar", "--repair", "c",
                      "--algo", "simple,iarcauses,iarfacts", "--kb", kb,
                      "--ans", ans, "--repeat", "2", "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == ("semantics,repair,encoding,algorithm,"
-                            "preprocess_ms,filter_ms,result_count")
-        rows = [line.split(",") for line in lines[1:]]
+        reader = csv.DictReader(out.read_text().splitlines())
+        assert reader.fieldnames == BENCH_HEADER
+        rows = list(reader)
         assert len(rows) == 3
-        assert {row[-1] for row in rows} == {"1"}
+        assert {row["result_count"] for row in rows} == {"1"}
+        assert {row["complete"] for row in rows} == {"True"}
+
+    def test_counter_columns_match_the_request(self, fixture_paths, ex1, capsys):
+        kb, ans = fixture_paths
+        assert main(["bench", "--sem", "iar", "--repair", "c", "--algo",
+                     "maxsat,muses", "--kb", kb, "--ans", ans, "--repeat", "2",
+                     "--seed", "7"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [row["algorithm"] for row in rows] == ["maxsat", "muses"]
+        for row in rows:
+            stats = answer_query(FilterRequest(
+                ex1, EncodingSpec("iar", "c", "c", 1), row["algorithm"],
+                seed=7)).solver_stats
+            assert stats["decisions"] > 0
+            for key in ("decisions", "conflicts", "propagations"):
+                assert int(row[key]) == stats[key]
+
+    def test_exhausted_budget_prints_partial_rows_and_exits_3(self, fixture_paths,
+                                                              capsys):
+        kb, ans = fixture_paths
+        code = main(["bench", "--sem", "ar", "--repair", "c", "--algo",
+                     "simple,maxsat,muses", "--kb", kb, "--ans", ans,
+                     "--budget", "0", "--repeat", "1"])
+        assert code == 3
+        reader = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert reader.fieldnames == BENCH_HEADER
+        rows = list(reader)
+        # simple finishes within the budget; maxsat runs out; muses never runs
+        assert [(row["algorithm"], row["complete"]) for row in rows] == [
+            ("simple", "True"), ("maxsat", "False")]
 
 
 def test_console_script_entry_point():

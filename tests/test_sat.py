@@ -210,3 +210,115 @@ class TestBudget:
             pass
         session.conflict_budget = None
         assert session.solve([-3]).status == UNSAT
+
+
+class FullScanSession(SolverSession):
+    """Reference branching: rescan from variable 1 at every decision."""
+
+    def _pick_branch_lit(self):
+        for v in range(1, self.nvars + 1):
+            if self._assign[v] is None:
+                if self.seed:
+                    flip = ((v * 2654435761 + self.seed * 40503) >> 7) & 1
+                    return -v if flip else v
+                return v
+        return None
+
+
+def counters(session):
+    stats = session.stats.as_dict()
+    del stats["wall_ms"]
+    return stats
+
+
+class TestScanCursor:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_branches_exactly_like_the_full_scan(self, seed):
+        rng = random.Random(11 + seed)
+        for _ in range(60):
+            n = rng.randint(8, 30)
+
+            def clause():
+                return [rng.choice([-1, 1]) * rng.randint(1, n)
+                        for _ in range(rng.randint(2, 3))]
+
+            clauses = [clause() for _ in range(rng.randint(n, 4 * n))]
+            sessions = [loaded(n, clauses, seed=seed),
+                        FullScanSession(n, seed=seed)]
+            for c in clauses:
+                sessions[1].add_clause(c)
+            for _ in range(6):
+                assumps = [rng.choice([-1, 1]) * rng.randint(1, n + 2)
+                           for _ in range(rng.randint(0, 5))]
+                got, want = (s.solve(assumps) for s in sessions)
+                assert (got.status, got.model, got.core) == \
+                    (want.status, want.model, want.core)
+                assert counters(sessions[0]) == counters(sessions[1])
+                if rng.random() < 0.5:
+                    extra = clause()
+                    for s in sessions:
+                        s.add_clause(extra)
+
+
+class TestAddClause:
+    def test_duplicate_literals_are_merged(self):
+        session = SolverSession(3)
+        session.add_clause([2, 2, 3, 2, 3])
+        assert session._clauses == [[2, 3]]
+        assert session._original == [(2, 2, 3, 2, 3)]
+        assert session.solve([-2]).model[3] is True
+
+    def test_repeated_unit_literal_propagates(self):
+        session = SolverSession(2)
+        session.add_clause([1, 1])
+        assert session._clauses == []
+        assert session.solve([-1]).status == UNSAT
+
+    def test_tautology_is_dropped(self):
+        session = SolverSession(2)
+        session.add_clause([1, 2, -1])
+        assert session._clauses == []
+        assert session.solve([-1, -2]).status == SAT
+
+    def test_clause_satisfied_at_level_zero_is_dropped(self):
+        session = SolverSession(3)
+        session.add_clause([1])
+        session.add_clause([-1, 2, 3])  # the false literal is simplified away
+        session.add_clause([2, 1])
+        assert session._clauses == [[2, 3]]
+        assert session.solve([-2]).model == {1: True, 2: False, 3: True}
+
+    def test_clause_falsified_at_level_zero_refutes(self):
+        session = SolverSession(2)
+        session.add_clause([1])
+        session.add_clause([2])
+        session.add_clause([-1, -2, -1])
+        res = session.solve()
+        assert res.status == UNSAT and res.core == frozenset()
+        session.add_clause([1, 2])  # nothing revives a refuted session
+        assert session.solve().status == UNSAT
+
+    def test_literal_above_nvars_grows_the_session(self):
+        session = SolverSession(2)
+        session.add_clause([1, -5])
+        assert session.nvars == 5
+        session.add_clause([7, -7])  # a dropped tautology still grows it
+        assert session.nvars == 7
+        assert set(session.solve([5]).model) == set(range(1, 8))
+
+    def test_generator_argument(self):
+        session = SolverSession(2)
+        session.add_clause(lit for lit in (-1, 2))
+        assert session._original == [(-1, 2)]
+        assert session._clauses == [[-1, 2]]
+        assert session.solve([1]).model[2] is True
+
+    def test_clause_added_after_a_solve(self):
+        session = SolverSession(3)
+        session.add_clause([1, 2])
+        assert session.solve().model[1] is True
+        session.add_clause([-1])
+        assert session.solve().model == {1: False, 2: True, 3: True}
+        session.add_clause([-2, 3])
+        session.add_clause([-3, -2])
+        assert session.solve().status == UNSAT
