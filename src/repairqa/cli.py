@@ -38,6 +38,14 @@ def _spec_from_flags(args) -> EncodingSpec:
     return EncodingSpec(args.sem, repair, max_variant, args.neg)
 
 
+def _below(flag: str, value, floor: int) -> bool:
+    """Report a numeric flag set below its floor; True when it is."""
+    if value is not None and value < floor:
+        print(f"error: {flag} must be at least {floor}, got {value}", file=sys.stderr)
+        return True
+    return False
+
+
 def _add_filter_flags(parser, with_algo=True):
     parser.add_argument("--sem", required=True, choices=SEMANTICS)
     parser.add_argument("--repair", required=True, choices=tuple(REPAIR_FLAGS))
@@ -54,6 +62,8 @@ def _add_filter_flags(parser, with_algo=True):
 
 
 def cmd_filter(args) -> int:
+    if _below("--budget", args.budget, 0):
+        return EXIT_BAD_COMBINATION
     spec = _spec_from_flags(args)
     if not valid_pairing(spec.semantics, args.algo):
         print(f"error: algorithm {args.algo!r} cannot compute {spec.semantics!r}",
@@ -140,9 +150,9 @@ def cmd_geninstance(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        print(f"error: --trials must be at least 1, got {args.trials}",
-              file=sys.stderr)
+    if (_below("--trials", args.trials, 1) or _below("--jobs", args.jobs, 1)
+            or _below("--max-facts", args.max_facts, 3)
+            or _below("--budget", args.budget, 0)):
         return EXIT_BAD_COMBINATION
     outcome = run_verification(args.trials, max_facts=args.max_facts,
                                seed=args.seed, mutate=args.mutate,
@@ -158,9 +168,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeat < 1:
-        print(f"error: --repeat must be at least 1, got {args.repeat}",
-              file=sys.stderr)
+    if _below("--repeat", args.repeat, 1) or _below("--budget", args.budget, 0):
         return EXIT_BAD_COMBINATION
     instance = load_instance(args.kb, args.ans)
     spec_base = REPAIR_FLAGS[args.repair]

@@ -214,7 +214,9 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
     empty (every consistent set extends to a maximal one). "p1" works over the
     reachability closure of the scope, "p2" over the leaner dominator-driven
     closure, and "c" adds explicit completion-order and transitive-closure
-    variables, which is cubic in the closure size and therefore capped.
+    variables. The "c" block keeps only the given direction of a prioritised
+    pair and runs its transitive-closure rows only from the smaller end of each
+    open pair, so it grows with open pairs times arcs; the closure is capped.
     """
     if variant == "s":
         return [], frozenset()
@@ -248,6 +250,19 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
                 f"{node_cap}; raise the cap explicitly to proceed")
         pairs = [(a, b) for a, b in instance.conflicts.sorted_pairs()
                  if a in reach and b in reach]
+        prefers = instance.priority.prefers
+        # the directions a completion may take: only the given one for a
+        # prioritised pair, both for an open pair
+        arcs: list[tuple[FactId, FactId]] = []
+        open_pairs: list[tuple[FactId, FactId]] = []
+        for a, b in pairs:
+            if prefers(a, b):
+                arcs.append((a, b))
+            elif prefers(b, a):
+                arcs.append((b, a))
+            else:
+                arcs += [(a, b), (b, a)]
+                open_pairs.append((a, b))
 
         def comp(a, b):
             return formula.var(("comp", ns, a, b))
@@ -259,36 +274,35 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
             return formula.var(("trans", ns, a, b))
 
         # a fact may only be dropped for an included, completion-preferred rival
-        neighbors: dict[FactId, list[FactId]] = {a: [] for a in sorted(reach)}
-        for a, b in pairs:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
+        rivals: dict[FactId, list[FactId]] = {a: [] for a in sorted(reach)}
+        for src, dst in arcs:
+            rivals[dst].append(src)
         for a in sorted(reach):
             clauses.append(formula.add(
                 [formula.fact_var(a, ns)]
-                + [pref(b, a) for b in sorted(neighbors[a])]))
+                + [pref(b, a) for b in sorted(rivals[a])]))
+        for src, dst in arcs:
+            clauses.append(formula.add([-pref(src, dst), formula.fact_var(src, ns)]))
+            clauses.append(formula.add([-pref(src, dst), comp(src, dst)]))
+        # the completion extends the given priorities and orders every open
+        # pair exactly one way
         for a, b in pairs:
-            for src, dst in ((a, b), (b, a)):
-                clauses.append(formula.add([-pref(src, dst), formula.fact_var(src, ns)]))
-                clauses.append(formula.add([-pref(src, dst), comp(src, dst)]))
-        # the completion orders every conflicting pair, exactly one way,
-        # and extends the given priorities
-        for a, b in pairs:
-            clauses.append(formula.add([comp(a, b), comp(b, a)]))
-            clauses.append(formula.add([-comp(a, b), -comp(b, a)]))
-            if instance.priority.prefers(a, b):
+            if prefers(a, b):
                 clauses.append(formula.add([comp(a, b)]))
-            elif instance.priority.prefers(b, a):
+            elif prefers(b, a):
                 clauses.append(formula.add([comp(b, a)]))
+            else:
+                clauses.append(formula.add([comp(a, b), comp(b, a)]))
+                clauses.append(formula.add([-comp(a, b), -comp(b, a)]))
         if not omit_acyclicity:
             # transitive-closure variables rule out completion cycles
-            for a, b in pairs:
-                for src, dst in ((a, b), (b, a)):
-                    clauses.append(formula.add([-comp(src, dst), trans(src, dst)]))
-                    clauses.append(formula.add([-comp(src, dst), -trans(dst, src)]))
-            ordered = [(a, b) for a, b in pairs] + [(b, a) for a, b in pairs]
-            ordered.sort()
-            for f in sorted(reach):
+            for src, dst in arcs:
+                clauses.append(formula.add([-comp(src, dst), trans(src, dst)]))
+                clauses.append(formula.add([-comp(src, dst), -trans(dst, src)]))
+            # the priority is acyclic, so every completion cycle runs through
+            # an open pair: closure rows from one end of each refute it
+            ordered = sorted(arcs)
+            for f in sorted({a for a, _ in open_pairs}):
                 for src, dst in ordered:
                     if f == src or f == dst:
                         continue

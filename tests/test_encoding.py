@@ -5,11 +5,13 @@ from repairqa.encoding import (CnfFormula, EncodingSpec, build_multi_formula,
                                encode_max, encode_neg_cause, encode_neg_query,
                                encode_pos_query, export_dimacs)
 from repairqa.errors import CapacityError
+from repairqa.filters import remove_self_inconsistent
+from repairqa.generate import priority_for_mode, random_instance
 from repairqa.model import make_answer, make_instance, reachable_minus_set
-from repairqa.oracle import enumerate_pareto_repairs
+from repairqa.oracle import enumerate_completion_repairs, enumerate_pareto_repairs
 from repairqa.sat import SolverSession, solve_clauses
 
-from conftest import ALPHA, BETA, DELTA, GAMMA, small_instances
+from conftest import ALPHA, BETA, DELTA, GAMMA, loaded, small_instances
 
 
 def lits_as_keys(formula, clause):
@@ -367,3 +369,57 @@ def test_completion_models_never_carry_cyclic_orders():
             return False
 
         assert not any(has_cycle(v) for v in list(succ) if v not in seen)
+
+
+def test_completion_block_models_are_the_completion_repairs():
+    # the satisfiable fact selections of the c block are exactly the repairs
+    # induced by the acyclic completions, restricted to the conflicting facts
+    checked = 0
+    for inst in small_instances(80, seed=24, max_facts=9, max_conflicts=14):
+        prepped, _ = remove_self_inconsistent(inst)
+        nodes = sorted(prepped.conflicts.facts())
+        if not nodes:
+            continue
+        f = CnfFormula()
+        encode_max(f, prepped, "c", set(nodes))
+        encode_consistency(f, prepped, nodes)
+        session = loaded(f.nvars, f.hard)
+        fact_vars = [f.fact_var(a) for a in nodes]
+        models = set()
+        for bits in range(1 << len(nodes)):
+            chosen = [bits >> i & 1 for i in range(len(nodes))]
+            if session.solve([v if bit else -v
+                              for v, bit in zip(fact_vars, chosen)]).is_sat:
+                models.add(frozenset(a for a, bit in zip(nodes, chosen) if bit))
+        expected = {r & set(nodes) for r in enumerate_completion_repairs(inst).repairs}
+        assert models == expected, inst.priority.sorted_edges()
+        checked += 1
+    assert checked > 60
+
+
+def _score_instance():
+    inst = random_instance(9, 16, 2, max_cause_size=3, seed=5)
+    return inst.with_priority(priority_for_mode(inst, "score", 3, levels=3))
+
+
+@pytest.mark.parametrize("which", ["ex1", "score"])
+def test_completion_block_skips_refuted_directions(ex1, which):
+    inst = ex1 if which == "ex1" else _score_instance()
+    prefers = inst.priority.prefers
+    pairs = inst.conflicts.sorted_pairs()
+    # closure rows start only from the smaller end of each open pair
+    starts = {a for a, b in pairs if not prefers(a, b) and not prefers(b, a)}
+    assert starts and len(starts) < len(inst.conflicts.facts())
+    f = CnfFormula()
+    encode_max(f, inst, "c", set(inst.conflicts.facts()))
+    for a, b in pairs:
+        for hi, lo in ((a, b), (b, a)):
+            if prefers(hi, lo):
+                assert ("comp", None, hi, lo) in f.index
+                assert ("comp", None, lo, hi) not in f.index
+                assert ("pref", None, lo, hi) not in f.index
+    rows = [clause for clause in f.hard
+            if [f.key_of(abs(l))[0] for l in clause] == ["trans", "comp", "trans"]]
+    assert rows
+    for row in rows:
+        assert f.key_of(abs(row[0]))[2] in starts

@@ -128,6 +128,22 @@ class TestFilterCommand:
         assert main(["verify", "--trials", trials, "--seed", "0"]) == 2
         assert "--trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "0"), ("--jobs", "-2"), ("--max-facts", "2"),
+        ("--max-facts", "-1"), ("--budget", "-5")])
+    def test_verify_flag_below_its_floor_exits_2(self, capsys, flag, value):
+        assert main(["verify", "--trials", "3", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and value in err
+
+    @pytest.mark.parametrize("command", ["filter", "bench"])
+    def test_negative_budget_exits_2(self, fixture_paths, capsys, command):
+        kb, ans = fixture_paths
+        code = main([command, "--sem", "brave", "--repair", "s", "--algo", "simple",
+                     "--kb", kb, "--ans", ans, "--budget", "-5"])
+        assert code == 2
+        assert "--budget" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kb_doc, ans_doc, bad", [
         ({"facts": [{"label": "x"}]}, {"answers": []}, "kb"),
         ({"facts": [1, 2]}, {"answers": []}, "kb"),

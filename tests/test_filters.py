@@ -6,9 +6,11 @@ from repairqa.errors import PairingError
 from repairqa.filters import (CLASS_AR, CLASS_IAR, CLASS_TRIVIAL, FilterRequest,
                               answer_query, classify_answers,
                               extract_trivial_answers, remove_self_inconsistent)
+from repairqa.generate import priority_for_mode, random_instance
 from repairqa.model import make_answer, make_instance
 from repairqa.oracle import oracle_answers
 from repairqa.sat import SolverSession
+from repairqa.verify import combos_for
 
 from conftest import small_instances
 
@@ -242,6 +244,28 @@ class TestCrossAlgorithmAgreement:
                 ar = run(inst, "ar", repair, "simple")
                 brave = run(inst, "brave", repair, "simple")
                 assert iar.trivial_answers <= iar.answers <= ar.answers <= brave.answers
+
+    @pytest.mark.parametrize("seed", [11, 28])
+    def test_completion_cells_agree_beyond_the_verify_sweep(self, seed):
+        # 16 facts, larger than the instances `verify` draws, under a
+        # score-structured priority: the completion and pareto repairs
+        # coincide, so every c cell (maximality c, p1 or p2, both blocking
+        # variants, every algorithm) must give one answer set per semantics
+        inst = random_instance(16, 24, 8, max_cause_size=3, seed=seed)
+        inst = inst.with_priority(priority_for_mode(inst, "score", seed, levels=5))
+        got = {}
+        for combo in combos_for(inst):
+            if combo.repair != "c":
+                continue
+            spec = EncodingSpec(combo.semantics, combo.repair, combo.max_variant,
+                                combo.neg_variant)
+            report = answer_query(FilterRequest(inst, spec, combo.algorithm))
+            got.setdefault(combo.semantics, {}).setdefault(
+                report.answers, []).append(combo)
+        for sem, answer_sets in got.items():
+            assert len(answer_sets) == 1, (sem, answer_sets)
+        assert {c.max_variant for cells in got["ar"].values() for c in cells} \
+            == {"c", "p1", "p2"}
 
 
 class TestClassifyAnswers:
