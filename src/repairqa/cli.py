@@ -152,13 +152,16 @@ def cmd_geninstance(args) -> int:
 def cmd_verify(args) -> int:
     if (_below("--trials", args.trials, 1) or _below("--jobs", args.jobs, 1)
             or _below("--max-facts", args.max_facts, 3)
+            or _below("--max-conflicts", args.max_conflicts, 0)
             or _below("--budget", args.budget, 0)):
         return EXIT_BAD_COMBINATION
     outcome = run_verification(args.trials, max_facts=args.max_facts,
                                seed=args.seed, mutate=args.mutate,
-                               conflict_budget=args.budget, jobs=args.jobs)
+                               conflict_budget=args.budget, jobs=args.jobs,
+                               max_conflicts=args.max_conflicts)
     print(f"trials: {outcome.trials}")
     print(f"combinations checked: {outcome.combos_checked}")
+    print(f"groups skipped over the oracle caps: {outcome.groups_skipped}")
     print(f"mismatches: {len(outcome.mismatches)}")
     if outcome.mismatches:
         print("first counterexample:")
@@ -268,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              "against the brute-force oracle")
     p_verify.add_argument("--trials", type=int, required=True)
     p_verify.add_argument("--max-facts", type=int, default=8)
+    p_verify.add_argument("--max-conflicts", type=int, default=12)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--budget", type=int, default=None)
     p_verify.add_argument("--jobs", type=int, default=1)

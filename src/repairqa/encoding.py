@@ -215,8 +215,9 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
     reachability closure of the scope, "p2" over the leaner dominator-driven
     closure, and "c" adds explicit completion-order and transitive-closure
     variables. The "c" block keeps only the given direction of a prioritised
-    pair and runs its transitive-closure rows only from the smaller end of each
-    open pair, so it grows with open pairs times arcs; the closure is capped.
+    pair and has transitive-closure variables and rows only from the smaller
+    end of each open pair, so it grows with open pairs times arcs; the closure
+    is capped.
     """
     if variant == "s":
         return [], frozenset()
@@ -295,14 +296,17 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
                 clauses.append(formula.add([comp(a, b), comp(b, a)]))
                 clauses.append(formula.add([-comp(a, b), -comp(b, a)]))
         if not omit_acyclicity:
-            # transitive-closure variables rule out completion cycles
-            for src, dst in arcs:
-                clauses.append(formula.add([-comp(src, dst), trans(src, dst)]))
-                clauses.append(formula.add([-comp(src, dst), -trans(dst, src)]))
             # the priority is acyclic, so every completion cycle runs through
-            # an open pair: closure rows from one end of each refute it
+            # an open pair: transitive-closure rows from one end of each
+            # refute it, and only those ends need trans variables
+            starts = {a for a, _ in open_pairs}
+            for src, dst in arcs:
+                if src in starts:
+                    clauses.append(formula.add([-comp(src, dst), trans(src, dst)]))
+                if dst in starts:
+                    clauses.append(formula.add([-comp(src, dst), -trans(dst, src)]))
             ordered = sorted(arcs)
-            for f in sorted({a for a, _ in open_pairs}):
+            for f in sorted(starts):
                 for src, dst in ordered:
                     if f == src or f == dst:
                         continue

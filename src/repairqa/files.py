@@ -16,7 +16,7 @@ from .errors import InputError
 from .filters import FilterReport
 from .model import PrioritizedInstance, make_answer, make_instance
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _load_json(path: str):
@@ -165,6 +165,7 @@ def result_document(semantics: str, repair_flag: str, neg_variant: int,
         "encoding": {"neg": neg_variant, "max": repair_flag},
         "algorithm": algorithm,
         "trivial": sorted(report.trivial_answers),
+        "settled": sorted(report.settled_answers),
         "answers": sorted(report.answers),
         "removed_self_inconsistent": sorted(report.removed_self_inconsistent),
         "timings_ms": report.timings_ms,

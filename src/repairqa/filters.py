@@ -1,5 +1,9 @@
 """Answer filtering: preprocessing plus seven SAT-backed strategies.
 
+Preprocessing drops self-inconsistent facts and runs the grounded fixpoint,
+which settles the answers that facts safe in or lost from every optimal
+repair decide, and hands the strategies the rest on the residual instance.
+
 Every strategy computes the same answer set for a given semantics and repair
 notion; they differ in how they drive the solver (one formula per answer,
 one shared formula with soft activators maximized, enumerated as cores, or
@@ -17,8 +21,7 @@ from .encoding import (DEFAULT_NODE_CAP, MAXIMALITY, CnfFormula, EncodingSpec,
                        build_multi_formula, build_single_formula,
                        effective_instance)
 from .errors import BudgetExceededError, PairingError
-from .model import (FactId, PotentialAnswer, PrioritizedInstance, is_score_structured,
-                    make_instance)
+from .model import FactId, PotentialAnswer, PrioritizedInstance
 from .sat import UNSAT, SolverSession, SolverStats, enumerate_mus, maximize_soft
 
 ALGORITHMS = ("simple", "maxsat", "muses", "assume", "cause", "iarcauses", "iarfacts")
@@ -55,6 +58,7 @@ class FilterRequest:
 class FilterReport:
     answers: frozenset[str]
     trivial_answers: frozenset[str]
+    settled_answers: frozenset[str]
     removed_self_inconsistent: frozenset[FactId]
     timings_ms: dict[str, float]
     solver_stats: dict
@@ -71,40 +75,86 @@ def remove_self_inconsistent(instance: PrioritizedInstance
     bad = instance.conflicts.self_inconsistent
     if not bad:
         return instance, frozenset()
-    pairs = [(a, b) for a, b in instance.conflicts.sorted_pairs()
-             if a not in bad and b not in bad]
-    pair_set = {p for p in pairs}
-    edges = [(a, b) for a, b in instance.priority.sorted_edges()
-             if (min(a, b), max(a, b)) in pair_set]
     answers = []
     for ans in instance.answers:
         causes = [c for c in ans.causes if not (c & bad)]
         if causes:
             answers.append(PotentialAnswer(ans.answer_id, tuple(causes)))
-    cleaned = make_instance((f for f in instance.universe if f not in bad),
-                            pairs, edges, answers, labels=instance.labels)
-    return cleaned, frozenset(bad)
+    return instance.without_facts(bad, answers), frozenset(bad)
 
 
-def extract_trivial_answers(instance: PrioritizedInstance
-                            ) -> tuple[tuple[str, ...], PrioritizedInstance]:
-    """Delete facts that sit in every optimal repair from all causes.
+def grounded_facts(instance: PrioritizedInstance
+                   ) -> tuple[frozenset[FactId], frozenset[FactId], frozenset[FactId]]:
+    """The first-round safe facts, then all safe and all lost facts.
 
-    Facts without outgoing conflict-graph edges can never be traded away, so
-    an answer owning a cause of only such facts holds under every semantics;
-    those answers are returned and withheld from further filtering. Expects
-    self-inconsistent facts to be gone already.
+    The grounded extension of the attack relation "a attacks b iff they
+    conflict and b is not preferred to a": a fact is safe once every partner
+    it is not preferred to is lost, and the partners of a safe fact are lost.
+    Safe facts are in every optimal repair, lost facts in none. A worklist
+    keeps, per fact, the count of its directed-conflict-graph successors not
+    yet lost, so the fixpoint costs one pass over the conflicts. A lost fact
+    never runs out of successors: the safe fact that first beat it stays.
+    Expects self-inconsistent facts to be gone already.
     """
-    safe = instance.dcg().zero_out_degree(instance.universe)
-    trivial = []
+    dcg = instance.dcg()
+    neighbors = instance.conflicts.neighbors
+    pending = {f: len(dcg.out(f)) for f in instance.universe}
+    work = [f for f, n in pending.items() if not n]
+    first = frozenset(work)
+    safe: set[FactId] = set()
+    lost: set[FactId] = set()
+    while work:
+        f = work.pop()
+        safe.add(f)
+        for g in neighbors(f):
+            if g in lost:
+                continue
+            lost.add(g)
+            for h in neighbors(g):
+                if g in dcg.out(h):
+                    pending[h] -= 1
+                    if not pending[h]:
+                        work.append(h)
+    return first, frozenset(safe), frozenset(lost)
+
+
+def extract_trivial_answers(instance: PrioritizedInstance, repair: str = "p"
+                            ) -> tuple[tuple[str, ...], dict[str, bool],
+                                       PrioritizedInstance]:
+    """Settle what the grounded fixpoint decides and return the rest.
+
+    Returns the trivial answers (a cause lies within the first-round safe
+    facts), the answers the fixpoint settles beyond those (True: after
+    dropping the causes holding a lost fact and stripping safe facts, a
+    cause is empty; False: no cause is left), and the instance to filter
+    the remaining answers on, with those reduced causes. Safe facts are in
+    every s, p and c repair and lost facts in none, so the settled verdicts
+    hold under every semantics. The returned instance also drops the safe
+    and lost facts with their conflicts and priority edges where its
+    `repair` repairs plus the safe facts are then the full ones: for s and
+    p, and for c when the priority is score-structured. Under other
+    priorities the dropped facts carry priority paths that constrain
+    completions, so for c the facts stay. With no fact lost, every safe fact
+    is conflict-free and dropping it would change nothing the encoders read,
+    so the instance is kept then too. Expects self-inconsistent facts to be
+    gone already.
+    """
+    first, safe, lost = grounded_facts(instance)
+    trivial: list[str] = []
+    settled: dict[str, bool] = {}
     kept = []
     for ans in instance.answers:
-        reduced = [frozenset(c - safe) for c in ans.causes]
-        if any(not c for c in reduced):
+        if any(c <= first for c in ans.causes):
             trivial.append(ans.answer_id)
+            continue
+        reduced = tuple(dict.fromkeys(c - safe for c in ans.causes if not c & lost))
+        if not reduced or not all(reduced):
+            settled[ans.answer_id] = bool(reduced)
         else:
-            kept.append(PotentialAnswer(ans.answer_id, tuple(reduced)))
-    return tuple(trivial), instance.with_answers(kept)
+            kept.append(PotentialAnswer(ans.answer_id, reduced))
+    if lost and (repair != "c" or instance.score_structured):
+        return tuple(trivial), settled, instance.without_facts(safe | lost, kept)
+    return tuple(trivial), settled, instance.with_answers(kept)
 
 
 # ----------------------------------------------------------------------
@@ -299,22 +349,23 @@ _DISPATCH = {
 
 
 def answer_query(request: FilterRequest) -> FilterReport:
-    """Preprocess, shortcut trivial answers, then run the chosen strategy."""
+    """Preprocess, settle what the grounded fixpoint decides, then run the
+    chosen strategy on the rest."""
     spec = request.spec
     if not valid_pairing(spec.semantics, request.algorithm):
         raise PairingError(
             f"algorithm {request.algorithm!r} cannot compute {spec.semantics!r}")
     # preprocessing reads the priority-dependent conflict graph too
     instance = effective_instance(request.instance, spec)
-    if spec.repair == "c" and spec.max_variant != "c" and not is_score_structured(
-            instance.conflicts, instance.priority):
+    if (spec.repair == "c" and spec.max_variant != "c"
+            and not instance.score_structured):
         raise PairingError(
             "pareto-style maximality stands in for completion repairs only "
             "under score-structured priorities")
 
     t0 = time.perf_counter()
     cleaned, removed = remove_self_inconsistent(instance)
-    trivial, remaining = extract_trivial_answers(cleaned)
+    trivial, settled, remaining = extract_trivial_answers(cleaned, spec.repair)
     t1 = time.perf_counter()
 
     ctx = _Ctx(budget=request.conflict_budget, node_cap=request.node_cap,
@@ -328,8 +379,10 @@ def answer_query(request: FilterRequest) -> FilterReport:
     t2 = time.perf_counter()
 
     return FilterReport(
-        answers=frozenset(trivial) | frozenset(ctx.held),
+        answers=(frozenset(trivial) | {a for a, held in settled.items() if held}
+                 | ctx.held),
         trivial_answers=frozenset(trivial),
+        settled_answers=frozenset(settled),
         removed_self_inconsistent=removed,
         timings_ms={"preprocess_ms": round((t1 - t0) * 1000.0, 3),
                     "filter_ms": round((t2 - t1) * 1000.0, 3)},

@@ -208,10 +208,6 @@ class DirectedConflictGraph:
     def nodes(self) -> frozenset[FactId]:
         return frozenset(self.out_edges)
 
-    def zero_out_degree(self, universe: Iterable[FactId]) -> frozenset[FactId]:
-        """Facts with no outgoing edge; these sit in every optimal repair."""
-        return frozenset(f for f in universe if not self.out_edges.get(f))
-
 
 def directed_conflict_graph(conflicts: ConflictSet,
                             priority: PriorityRelation) -> DirectedConflictGraph:
@@ -386,16 +382,44 @@ class PrioritizedInstance:
     def dcg(self) -> DirectedConflictGraph:
         return self._dcg
 
+    @cached_property
+    def score_structured(self) -> bool:
+        return is_score_structured(self.conflicts, self.priority)
+
     def with_priority(self, priority: PriorityRelation) -> "PrioritizedInstance":
         return PrioritizedInstance(self.universe, self.conflicts, priority,
                                    self.answers, self.labels)
 
     def with_answers(self, answers: Sequence[PotentialAnswer]) -> "PrioritizedInstance":
-        """Same conflicts and priority, so a graph already built carries over."""
+        """Same conflicts and priority, so what is already derived from them
+        carries over."""
         out = PrioritizedInstance(self.universe, self.conflicts, self.priority,
                                   tuple(answers), self.labels)
+        for derived in ("_dcg", "score_structured"):
+            if derived in self.__dict__:
+                out.__dict__[derived] = self.__dict__[derived]
+        return out
+
+    def without_facts(self, drop: frozenset[FactId],
+                      answers: Sequence[PotentialAnswer]) -> "PrioritizedInstance":
+        """The instance on the facts outside `drop`, with only their conflicts
+        and priority edges, and `answers` in place of the answers.
+
+        A graph already built carries over, restricted to the facts kept.
+        """
+        def kept(pair):
+            return pair[0] not in drop and pair[1] not in drop
+        conflicts = ConflictSet(filter(kept, self.conflicts.pairs),
+                                self.conflicts.self_inconsistent - drop)
+        out = PrioritizedInstance(
+            tuple(f for f in self.universe if f not in drop), conflicts,
+            PriorityRelation(filter(kept, self.priority.edges)), tuple(answers),
+            self.labels)
         if "_dcg" in self.__dict__:
-            out.__dict__["_dcg"] = self._dcg
+            bad = conflicts.self_inconsistent
+            out.__dict__["_dcg"] = DirectedConflictGraph({
+                f: succ - drop for f, succ in self._dcg.out_edges.items()
+                if conflicts.neighbors(f) - bad})
         return out
 
 

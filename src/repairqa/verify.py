@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .encoding import MAXIMALITY, SEMANTICS, EncodingSpec
+from .errors import CapacityError
 from .files import example_instance, instance_documents
 from .filters import ALGORITHMS, FilterRequest, answer_query, valid_pairing
 from .generate import verification_instance
-from .model import PrioritizedInstance, is_score_structured
+from .model import PrioritizedInstance
 from .oracle import oracle_answers
 
 # keys in the order ar, brave, iar: combos_for lists its cells in this order
@@ -42,7 +43,7 @@ def combos_for(instance: PrioritizedInstance) -> list[Combo]:
     then). Blocking variants only matter when causes get blocked, so "brave"
     runs a single one.
     """
-    score = is_score_structured(instance.conflicts, instance.priority)
+    score = instance.score_structured
     variants = {repair: mvs if score or repair != "c" else ("c",)
                 for repair, mvs in MAXIMALITY.items()}
     out = []
@@ -84,6 +85,8 @@ class Mismatch:
 class VerifyOutcome:
     trials: int = 0
     combos_checked: int = 0
+    # (semantics, repair) groups left unchecked: their oracle is over its cap
+    groups_skipped: int = 0
     mismatches: list[Mismatch] = field(default_factory=list)
 
     @property
@@ -93,17 +96,28 @@ class VerifyOutcome:
 
 def check_instance(instance: PrioritizedInstance, trial: int = 0,
                    mutate: Optional[str] = None,
-                   conflict_budget: Optional[int] = None) -> tuple[int, list[Mismatch]]:
+                   conflict_budget: Optional[int] = None
+                   ) -> tuple[int, int, list[Mismatch]]:
     """Compare the pipeline against the oracle on one instance, up to the
-    first mismatch."""
+    first mismatch.
+
+    Returns the combinations checked, the (semantics, repair) groups skipped
+    because their oracle is over its cap, and the mismatches.
+    """
     omit_acyc = mutate == "drop-acyc"
     expected: dict[tuple[str, str], frozenset[str]] = {}
+    skipped = 0
     for sem in ("ar", "iar", "brave"):
         for repair in ("s", "p", "c"):
-            expected[(sem, repair)] = oracle_answers(instance, sem, repair).answers
+            try:
+                expected[(sem, repair)] = oracle_answers(instance, sem, repair).answers
+            except CapacityError:
+                skipped += 1
     checked = 0
     mismatches: list[Mismatch] = []
     for combo in combos_for(instance):
+        if (combo.semantics, combo.repair) not in expected:
+            continue
         spec = EncodingSpec(combo.semantics, combo.repair, combo.max_variant,
                             combo.neg_variant)
         report = answer_query(FilterRequest(
@@ -117,13 +131,14 @@ def check_instance(instance: PrioritizedInstance, trial: int = 0,
                                        tuple(sorted(report.answers)),
                                        kb_doc, ans_doc))
             break
-    return checked, mismatches
+    return checked, skipped, mismatches
 
 
-def _worker(args) -> tuple[int, list[Mismatch]]:
-    trial, seed, max_facts, mutate, budget, is_example = args
+def _worker(args) -> tuple[int, int, list[Mismatch]]:
+    trial, seed, max_facts, max_conflicts, mutate, budget, is_example = args
     instance = example_instance() if is_example else \
-        verification_instance(trial, seed, max_facts=max_facts)
+        verification_instance(trial, seed, max_facts=max_facts,
+                              max_conflicts=max_conflicts)
     return check_instance(instance, trial, mutate, budget)
 
 
@@ -131,19 +146,20 @@ def run_verification(trials: int, max_facts: int = 8, seed: int = 0,
                      mutate: Optional[str] = None,
                      conflict_budget: Optional[int] = None,
                      include_example: bool = True,
-                     jobs: int = 1) -> VerifyOutcome:
+                     jobs: int = 1, max_conflicts: int = 12) -> VerifyOutcome:
     """Run the agreement suite over the fixture plus seeded random instances,
     stopping at the first trial with a mismatch."""
     if mutate not in (None, "drop-acyc"):
         raise ValueError(f"unknown mutation {mutate!r}")
-    tasks = [(i, seed, max_facts, mutate, conflict_budget, include_example and i == 0)
-             for i in range(trials)]
+    tasks = [(i, seed, max_facts, max_conflicts, mutate, conflict_budget,
+              include_example and i == 0) for i in range(trials)]
     outcome = VerifyOutcome()
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         results = pool.map(_worker, tasks) if pool else map(_worker, tasks)
-        for checked, mismatches in results:
+        for checked, skipped, mismatches in results:
             outcome.trials += 1
             outcome.combos_checked += checked
+            outcome.groups_skipped += skipped
             outcome.mismatches.extend(mismatches)
             if mismatches:
                 if pool:

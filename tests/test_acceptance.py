@@ -139,7 +139,7 @@ def _trivial_answers_for(inst, repair):
     from repairqa.model import EMPTY_PRIORITY
     work = inst.with_priority(EMPTY_PRIORITY) if repair == "s" else inst
     cleaned, _ = remove_self_inconsistent(work)
-    trivial, _ = extract_trivial_answers(cleaned)
+    trivial, _, _ = extract_trivial_answers(cleaned)
     return set(trivial)
 
 

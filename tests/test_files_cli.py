@@ -14,7 +14,7 @@ from repairqa.encoding import EncodingSpec
 from repairqa.files import (example_instance, instance_documents, load_instance,
                             parse_instance, save_instance)
 from repairqa.filters import FilterRequest, answer_query
-from repairqa.generate import random_instance
+from repairqa.generate import random_instance, verification_instance
 from repairqa.model import make_answer, make_instance
 from repairqa.verify import run_verification
 
@@ -99,7 +99,23 @@ class TestFilterCommand:
         doc = json.loads(out.read_text())
         assert doc["answers"] == ["q(a)"]
         assert doc["complete"] is True
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
+
+    def test_settled_answers_reported(self, tmp_path, capsys):
+        # 0 beats 1, which leaves 2 unbeaten: "held" needs 2, "refuted" needs 1
+        inst = make_instance(range(4), [(0, 1), (1, 2)], [(0, 1)],
+                             answers=[make_answer("trivial", [[3]]),
+                                      make_answer("held", [[2]]),
+                                      make_answer("refuted", [[1]])])
+        kb, ans = str(tmp_path / "kb.json"), str(tmp_path / "ans.json")
+        save_instance(inst, kb, ans)
+        assert main(["filter", "--sem", "ar", "--repair", "p1", "--algo", "simple",
+                     "--kb", kb, "--ans", ans]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["trivial"] == ["trivial"]
+        assert doc["settled"] == ["held", "refuted"]
+        assert doc["answers"] == ["held", "trivial"]
+        assert doc["solver_stats"]["solve_calls"] == 0
 
     def test_pareto_iar_empty(self, fixture_paths, tmp_path, capsys):
         kb, ans = fixture_paths
@@ -241,7 +257,7 @@ class TestGenInstance:
                      "--out-kb", str(kb), "--out-ans", str(ans)]) == 0
         inst = load_instance(str(kb), str(ans))
         from repairqa.filters import extract_trivial_answers
-        trivial, _ = extract_trivial_answers(inst)
+        trivial, _, _ = extract_trivial_answers(inst)
         assert set(trivial) == {a.answer_id for a in inst.answers}
 
     def test_complete_conflict_graph_gives_singleton_repairs(self):
@@ -282,6 +298,31 @@ class TestVerifyCommand:
         assert code != 0
         out = capsys.readouterr().out
         assert "first counterexample" in out
+
+    @pytest.mark.parametrize("value", ["-1", "-3"])
+    def test_max_conflicts_below_zero_exits_2(self, capsys, value):
+        assert main(["verify", "--trials", "3", "--max-conflicts", value]) == 2
+        err = capsys.readouterr().err
+        assert "--max-conflicts" in err and value in err
+
+    def test_capped_oracle_group_is_skipped_and_counted(self, capsys):
+        # trial 5 of seed 1 has 18 unordered conflict pairs, over the
+        # completion oracle's cap: its three c groups are skipped
+        assert main(["verify", "--trials", "6", "--max-facts", "10",
+                     "--max-conflicts", "20", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "groups skipped over the oracle caps: 3" in out
+        assert "mismatches: 0" in out
+
+    def test_check_instance_skips_only_capped_groups(self):
+        inst = verification_instance(5, 1, max_facts=10, max_conflicts=20)
+        checked, skipped, mismatches = verify.check_instance(inst, 5)
+        assert skipped == 3 and not mismatches
+        assert checked == sum(c.repair != "c" for c in verify.combos_for(inst))
+
+    def test_default_run_skips_nothing(self, capsys):
+        assert main(["verify", "--trials", "6", "--seed", "1"]) == 0
+        assert "groups skipped over the oracle caps: 0" in capsys.readouterr().out
 
     def test_parallel_jobs_agree(self, capsys):
         assert main(["verify", "--trials", "6", "--seed", "4",

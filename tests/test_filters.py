@@ -2,13 +2,14 @@ import pytest
 
 from repairqa import filters, model
 from repairqa.encoding import EncodingSpec
-from repairqa.errors import PairingError
-from repairqa.filters import (CLASS_AR, CLASS_IAR, CLASS_TRIVIAL, FilterRequest,
-                              answer_query, classify_answers,
-                              extract_trivial_answers, remove_self_inconsistent)
-from repairqa.generate import priority_for_mode, random_instance
-from repairqa.model import make_answer, make_instance
-from repairqa.oracle import oracle_answers
+from repairqa.errors import CapacityError, PairingError
+from repairqa.filters import (ALGORITHMS, CLASS_AR, CLASS_IAR, CLASS_TRIVIAL,
+                              FilterRequest, answer_query, classify_answers,
+                              extract_trivial_answers, grounded_facts,
+                              remove_self_inconsistent, valid_pairing)
+from repairqa.generate import priority_for_mode, random_instance, verification_instance
+from repairqa.model import EMPTY_PRIORITY, make_answer, make_instance
+from repairqa.oracle import oracle_answers, repair_family
 from repairqa.sat import SolverSession
 from repairqa.verify import combos_for
 
@@ -61,28 +62,118 @@ class TestRemoveSelfInconsistent:
 
 class TestTrivialAnswers:
     def test_worked_example_has_none(self, ex1):
-        trivial, remaining = extract_trivial_answers(ex1)
+        trivial, _, remaining = extract_trivial_answers(ex1)
         assert trivial == ()
         assert remaining.answers == ex1.answers
 
     def test_dominating_fact_makes_answer_trivial(self):
         inst = make_instance(range(2), [(0, 1)], [(0, 1)],
                              answers=[make_answer("a", [[0]])])
-        trivial, remaining = extract_trivial_answers(inst)
+        trivial, _, remaining = extract_trivial_answers(inst)
         assert trivial == ("a",)
         assert remaining.answers == ()
 
     def test_conflict_free_cause_is_trivial(self):
         inst = make_instance(range(3), [(0, 1)],
                              answers=[make_answer("a", [[2]])])
-        trivial, _ = extract_trivial_answers(inst)
+        trivial, _, _ = extract_trivial_answers(inst)
         assert trivial == ("a",)
 
     def test_safe_facts_deleted_from_surviving_causes(self):
         inst = make_instance(range(3), [(0, 1)],
                              answers=[make_answer("a", [[0, 2]])])
-        _, remaining = extract_trivial_answers(inst)
+        _, _, remaining = extract_trivial_answers(inst)
         assert remaining.answers[0].causes == (frozenset({0}),)
+
+
+def _completion_counterexample():
+    # 0 > 1 > 3 and 2 > 1, with 2 and 3 left unordered: 0 is safe and 1
+    # lost. Only {0, 2} is a completion repair, since 3 > 2 closes a cycle
+    # through the lost fact 1; the residue {2, 3} alone has {2} and {3}.
+    return make_instance(range(4), [(0, 1), (1, 2), (1, 3), (2, 3)],
+                         [(0, 1), (2, 1), (1, 3)],
+                         answers=[make_answer("x", [[2]]), make_answer("y", [[3]])])
+
+
+def _settling_instance():
+    # 0 beats 1 outright; once 1 is lost, 2 has no rival left it does not beat
+    return make_instance(range(5), [(0, 1), (1, 2), (3, 4)], [(0, 1)],
+                         answers=[make_answer("trivial", [[0]]),
+                                  make_answer("held", [[1, 3], [2]]),
+                                  make_answer("refuted", [[1], [1, 4]]),
+                                  make_answer("open", [[3], [1]])])
+
+
+class TestGroundedFixpoint:
+    def test_fixpoint_goes_past_the_first_round(self):
+        inst = _settling_instance()
+        first, safe, lost = grounded_facts(inst)
+        assert first == {0}
+        assert safe == {0, 2} and lost == {1}
+
+    def test_settled_answers_and_reduced_causes(self):
+        trivial, settled, remaining = extract_trivial_answers(_settling_instance())
+        assert trivial == ("trivial",)
+        assert settled == {"held": True, "refuted": False}
+        assert remaining.answers == (make_answer("open", [[3]]),)
+        assert remaining.universe == (3, 4)
+        assert remaining.conflicts.sorted_pairs() == [(3, 4)]
+
+    def test_completion_residue_is_kept_without_score_structure(self):
+        inst = _completion_counterexample()
+        _, safe, _ = grounded_facts(inst)
+        _, _, residue = extract_trivial_answers(inst, "p")
+        assert residue.universe == (2, 3)
+        # the residue's completion repairs miss the priority path 2 > 1 > 3
+        full = repair_family(inst, "c").as_set()
+        assert full == {frozenset({0, 2})}
+        assert {r | safe for r in repair_family(residue, "c").repairs} != full
+        _, _, kept = extract_trivial_answers(inst, "c")
+        assert kept.universe == inst.universe
+        score = _settling_instance()
+        assert extract_trivial_answers(score, "c")[2].universe == (3, 4)
+
+    @pytest.mark.parametrize("repair", ["p", "c"])
+    def test_report_names_settled_answers(self, repair):
+        for sem, want in (("iar", {"trivial", "held"}),
+                          ("ar", {"trivial", "held"}),
+                          ("brave", {"trivial", "held", "open"})):
+            report = run(_settling_instance(), sem, repair, "simple")
+            assert report.answers == want
+            assert report.trivial_answers == {"trivial"}
+            assert report.settled_answers == {"held", "refuted"}
+
+    @pytest.mark.parametrize("sem", ["ar", "iar", "brave"])
+    def test_completion_residue_needs_score_structure(self, sem):
+        inst = _completion_counterexample()
+        assert not inst.score_structured
+        want = oracle_answers(inst, sem, "c").answers
+        assert want == {"x"}
+        for algo in ALGORITHMS:
+            if valid_pairing(sem, algo):
+                assert run(inst, sem, "c", algo).answers == want, algo
+
+    def test_settled_facts_against_the_oracle(self):
+        # denser than the verify default, so the fixpoint runs several rounds
+        checked = 0
+        for i in range(300):
+            inst = verification_instance(i, 0, max_facts=10, max_conflicts=20)
+            for repair in ("s", "p", "c"):
+                work = inst.with_priority(EMPTY_PRIORITY) if repair == "s" else inst
+                cleaned, _ = remove_self_inconsistent(work)
+                try:
+                    full = repair_family(cleaned, repair).as_set()
+                except CapacityError:
+                    continue
+                _, safe, lost = grounded_facts(cleaned)
+                for r in full:
+                    assert safe <= r and not lost & r, (i, repair)
+                # for c without score structure the residue keeps every fact
+                _, _, residue = extract_trivial_answers(cleaned, repair)
+                assert {r | safe for r in repair_family(residue, repair).repairs} \
+                    == full, (i, repair)
+                checked += 1
+        assert checked > 850
 
 
 class TestWorkedExampleVerdicts:
@@ -140,8 +231,9 @@ class TestPipelineMechanics:
         assert not report.complete
 
     def test_fact_cache_shares_solves(self):
-        # both answers hinge on the same fact: one solve must settle both
-        inst = make_instance(range(2), [(0, 1)], [(1, 0)],
+        # both answers hinge on the same fact of an open pair, which the
+        # fixpoint leaves undecided: one solve must settle both
+        inst = make_instance(range(2), [(0, 1)],
                              answers=[make_answer("a1", [[0]]),
                                       make_answer("a2", [[0]])])
         report = run(inst, "iar", "p", "iarcauses")
@@ -199,6 +291,19 @@ class TestPipelineMechanics:
         fresh = make_instance(ex1.universe, ex1.conflicts.sorted_pairs(),
                               ex1.priority.sorted_edges(), ex1.answers)
         assert run(fresh, "iar", "c", "iarcauses").answers == {"q(a)"}
+        assert len(calls) == 1
+
+    def test_conflict_graph_built_once_with_a_residue(self, monkeypatch):
+        build = model.directed_conflict_graph
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(model, "directed_conflict_graph", counting)
+        report = run(_settling_instance(), "brave", "p", "simple")
+        assert report.answers == {"trivial", "held", "open"}
         assert len(calls) == 1
 
     def test_timings_reported(self, ex1):

@@ -171,6 +171,23 @@ def test_dcg_edges_match_definition(pairs, seed):
 
 
 @given(pairs=pair_lists, seed=st.integers(0, 999),
+       drop=st.frozensets(st.integers(0, 7), max_size=4),
+       unary=st.sets(st.integers(0, 7), max_size=2))
+@settings(max_examples=120, deadline=None)
+def test_graph_carried_past_dropped_facts_matches_a_fresh_build(pairs, seed, drop,
+                                                                 unary):
+    inst = make_instance(range(8), pairs, _prio_for(pairs, seed, 0.6).edges,
+                         self_inconsistent=unary)
+    inst.dcg()
+    out = inst.without_facts(drop, ())
+    assert "_dcg" in out.__dict__
+    assert set(out.universe) == set(range(8)) - drop
+    assert not any(a in drop or b in drop for a, b in out.conflicts.pairs)
+    assert out.dcg().out_edges == directed_conflict_graph(
+        out.conflicts, out.priority).out_edges
+
+
+@given(pairs=pair_lists, seed=st.integers(0, 999),
        seed_facts=st.sets(st.integers(0, 7), max_size=5),
        extra=st.sets(st.integers(0, 7), max_size=3))
 @settings(max_examples=120, deadline=None)
