@@ -16,12 +16,11 @@ import io
 import json
 import sys
 
-from .encoding import (DEFAULT_NODE_CAP, SEMANTICS, EncodingSpec, build_multi_formula,
-                       export_dimacs)
+from .encoding import (DEFAULT_NODE_CAP, SEMANTICS, CnfFormula, EncodingSpec,
+                       build_multi_formula, export_dimacs)
 from .errors import CapacityError, InputError, PairingError
 from .files import (load_instance, result_document, save_instance, write_json)
-from .filters import (ALGORITHMS, FilterRequest, answer_query, remove_self_inconsistent,
-                      valid_pairing)
+from .filters import ALGORITHMS, FilterRequest, answer_query, preprocess, valid_pairing
 from .generate import priority_for_mode, random_instance
 from .model import is_score_structured
 from .verify import run_verification
@@ -54,7 +53,6 @@ def _add_filter_flags(parser, with_algo=True):
         parser.add_argument("--algo", required=True, choices=ALGORITHMS)
     parser.add_argument("--kb", required=True, help="knowledge-base JSON file")
     parser.add_argument("--ans", required=True, help="potential-answers JSON file")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=None,
                         help="conflict budget per solver call")
     parser.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
@@ -72,20 +70,18 @@ def cmd_filter(args) -> int:
     instance = load_instance(args.kb, args.ans)
     omit = args.mutate == "drop-acyc"
     if args.dump_cnf:
-        prepped, _ = remove_self_inconsistent(instance)
-        targets = list(prepped.answers)
-        if targets:
-            formula = build_multi_formula(prepped, spec, targets,
+        # the formula the strategies solve: the residue's remaining answers
+        residue = preprocess(instance, spec)[3]
+        formula = CnfFormula()
+        if residue.answers:
+            formula = build_multi_formula(residue, spec, list(residue.answers),
                                           node_cap=args.node_cap,
                                           omit_acyclicity=omit)
-        else:
-            from .encoding import CnfFormula
-            formula = CnfFormula()
         with open(args.dump_cnf, "wb") as handle:
             handle.write(export_dimacs(formula, weighted=bool(formula.soft_units)))
     report = answer_query(FilterRequest(
         instance, spec, args.algo, conflict_budget=args.budget,
-        node_cap=args.node_cap, omit_acyclicity=omit, seed=args.seed))
+        node_cap=args.node_cap, omit_acyclicity=omit))
     doc = result_document(args.sem, args.repair, args.neg, args.algo, report)
     if args.out:
         write_json(args.out, doc)
@@ -188,7 +184,7 @@ def cmd_bench(args) -> int:
         for _ in range(args.repeat):
             report = answer_query(FilterRequest(
                 instance, spec, algo, conflict_budget=args.budget,
-                node_cap=args.node_cap, seed=args.seed))
+                node_cap=args.node_cap))
             pre += report.timings_ms["preprocess_ms"]
             flt += report.timings_ms["filter_ms"]
             complete = complete and report.complete

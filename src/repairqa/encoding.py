@@ -213,11 +213,13 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
     Returns the clauses and the facts they range over. The "s" variant is
     empty (every consistent set extends to a maximal one). "p1" works over the
     reachability closure of the scope, "p2" over the leaner dominator-driven
-    closure, and "c" adds explicit completion-order and transitive-closure
-    variables. The "c" block keeps only the given direction of a prioritised
-    pair and has transitive-closure variables and rows only from the smaller
-    end of each open pair, so it grows with open pairs times arcs; the closure
-    is capped.
+    closure, and "c" over the reachability closure with kill arcs: every
+    dropped fact picks a kept partner it is not preferred to, and those arcs
+    plus the priority must form no cycle (Staworko, Chomicki & Marcinkowski,
+    2012). Transitive-closure rows start only from the smaller end of each
+    open pair; they are unit or binary over priority arcs and ternary only
+    over open kill arcs, so the block grows with open pairs times arcs. The
+    closure is capped.
     """
     if variant == "s":
         return [], frozenset()
@@ -249,24 +251,6 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
             raise CapacityError(
                 f"completion encoding over {len(reach)} facts exceeds the cap of "
                 f"{node_cap}; raise the cap explicitly to proceed")
-        pairs = [(a, b) for a, b in instance.conflicts.sorted_pairs()
-                 if a in reach and b in reach]
-        prefers = instance.priority.prefers
-        # the directions a completion may take: only the given one for a
-        # prioritised pair, both for an open pair
-        arcs: list[tuple[FactId, FactId]] = []
-        open_pairs: list[tuple[FactId, FactId]] = []
-        for a, b in pairs:
-            if prefers(a, b):
-                arcs.append((a, b))
-            elif prefers(b, a):
-                arcs.append((b, a))
-            else:
-                arcs += [(a, b), (b, a)]
-                open_pairs.append((a, b))
-
-        def comp(a, b):
-            return formula.var(("comp", ns, a, b))
 
         def pref(src, dst):
             return formula.var(("pref", ns, src, dst))
@@ -274,44 +258,38 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
         def trans(a, b):
             return formula.var(("trans", ns, a, b))
 
-        # a fact may only be dropped for an included, completion-preferred rival
-        rivals: dict[FactId, list[FactId]] = {a: [] for a in sorted(reach)}
-        for src, dst in arcs:
-            rivals[dst].append(src)
+        # a dropped fact needs a kill arc from a kept partner it is not
+        # preferred to
         for a in sorted(reach):
+            partners = sorted(dcg.out(a))
             clauses.append(formula.add(
-                [formula.fact_var(a, ns)]
-                + [pref(b, a) for b in sorted(rivals[a])]))
-        for src, dst in arcs:
-            clauses.append(formula.add([-pref(src, dst), formula.fact_var(src, ns)]))
-            clauses.append(formula.add([-pref(src, dst), comp(src, dst)]))
-        # the completion extends the given priorities and orders every open
-        # pair exactly one way
-        for a, b in pairs:
-            if prefers(a, b):
-                clauses.append(formula.add([comp(a, b)]))
-            elif prefers(b, a):
-                clauses.append(formula.add([comp(b, a)]))
-            else:
-                clauses.append(formula.add([comp(a, b), comp(b, a)]))
-                clauses.append(formula.add([-comp(a, b), -comp(b, a)]))
+                [formula.fact_var(a, ns)] + [pref(b, a) for b in partners]))
+            for b in partners:
+                clauses.append(formula.add([-pref(b, a), formula.fact_var(b, ns)]))
         if not omit_acyclicity:
-            # the priority is acyclic, so every completion cycle runs through
-            # an open pair: transitive-closure rows from one end of each
-            # refute it, and only those ends need trans variables
-            starts = {a for a, _ in open_pairs}
-            for src, dst in arcs:
-                if src in starts:
-                    clauses.append(formula.add([-comp(src, dst), trans(src, dst)]))
-                if dst in starts:
-                    clauses.append(formula.add([-comp(src, dst), -trans(dst, src)]))
-            ordered = sorted(arcs)
+            # the kill arcs and the priority must form no cycle; the priority
+            # is acyclic, so every cycle runs through an open pair and its
+            # smaller end, and closure rows from those ends refute it
+            prefers = instance.priority.prefers
+            arcs: list[tuple[FactId, FactId, bool]] = []  # (src, dst, open)
+            starts = set()
+            for a, b in instance.conflicts.sorted_pairs():
+                if a not in reach or b not in reach:
+                    continue
+                if prefers(a, b):
+                    arcs.append((a, b, False))
+                elif prefers(b, a):
+                    arcs.append((b, a, False))
+                else:
+                    arcs += [(a, b, True), (b, a, True)]
+                    starts.add(a)
+            arcs.sort()
             for f in sorted(starts):
-                for src, dst in ordered:
-                    if f == src or f == dst:
-                        continue
+                for src, dst, is_open in arcs:
                     clauses.append(formula.add(
-                        [-trans(f, src), -comp(src, dst), trans(f, dst)]))
+                        ([-trans(f, src)] if src != f else [])
+                        + ([-pref(src, dst)] if is_open else [])
+                        + ([trans(f, dst)] if dst != f else [])))
         return clauses, reach
 
     raise ValueError(f"unknown maximality variant {variant!r}")
@@ -455,9 +433,6 @@ def _render_key(key: VarKey) -> str:
     if tag == "pref":
         ns, src, dst = key[1], key[2], key[3]
         base = f"pref_in({src}->{dst})"
-    elif tag == "comp":
-        ns, src, dst = key[1], key[2], key[3]
-        base = f"order({src}>{dst})"
     elif tag == "trans":
         ns, src, dst = key[1], key[2], key[3]
         base = f"reaches({src},{dst})"

@@ -51,7 +51,6 @@ class FilterRequest:
     conflict_budget: Optional[int] = None
     node_cap: int = DEFAULT_NODE_CAP
     omit_acyclicity: bool = False
-    seed: int = 0
 
 
 @dataclass
@@ -157,6 +156,27 @@ def extract_trivial_answers(instance: PrioritizedInstance, repair: str = "p"
     return tuple(trivial), settled, instance.with_answers(kept)
 
 
+def preprocess(instance: PrioritizedInstance, spec: EncodingSpec
+               ) -> tuple[frozenset[FactId], tuple[str, ...], dict[str, bool],
+                          PrioritizedInstance]:
+    """Drop self-inconsistent facts and settle what the grounded fixpoint
+    decides, for the instance as the spec's repair notion reads it.
+
+    Returns the removed facts, the trivial and settled answers, and the
+    residual instance on which the strategies decide the remaining answers.
+    """
+    # preprocessing reads the priority-dependent conflict graph too
+    instance = effective_instance(instance, spec)
+    if (spec.repair == "c" and spec.max_variant != "c"
+            and not instance.score_structured):
+        raise PairingError(
+            "pareto-style maximality stands in for completion repairs only "
+            "under score-structured priorities")
+    cleaned, removed = remove_self_inconsistent(instance)
+    trivial, settled, remaining = extract_trivial_answers(cleaned, spec.repair)
+    return removed, trivial, settled, remaining
+
+
 # ----------------------------------------------------------------------
 # the seven filtering strategies
 
@@ -166,7 +186,6 @@ class _Ctx:
     budget: Optional[int]
     node_cap: int
     omit_acyclicity: bool
-    seed: int
     stats: SolverStats = field(default_factory=SolverStats)
     held: set = field(default_factory=set)
 
@@ -180,8 +199,7 @@ def _verdict_is_hold(spec: EncodingSpec, is_sat: bool) -> bool:
 
 def _session(psi: CnfFormula, ctx: _Ctx) -> SolverSession:
     """Load one formula into the one session every question about it uses."""
-    session = SolverSession(psi.nvars, conflict_budget=ctx.budget, seed=ctx.seed,
-                            stats=ctx.stats)
+    session = SolverSession(psi.nvars, conflict_budget=ctx.budget, stats=ctx.stats)
     for clause in psi.hard:
         session.add_clause(clause)
     return session
@@ -355,21 +373,12 @@ def answer_query(request: FilterRequest) -> FilterReport:
     if not valid_pairing(spec.semantics, request.algorithm):
         raise PairingError(
             f"algorithm {request.algorithm!r} cannot compute {spec.semantics!r}")
-    # preprocessing reads the priority-dependent conflict graph too
-    instance = effective_instance(request.instance, spec)
-    if (spec.repair == "c" and spec.max_variant != "c"
-            and not instance.score_structured):
-        raise PairingError(
-            "pareto-style maximality stands in for completion repairs only "
-            "under score-structured priorities")
-
     t0 = time.perf_counter()
-    cleaned, removed = remove_self_inconsistent(instance)
-    trivial, settled, remaining = extract_trivial_answers(cleaned, spec.repair)
+    removed, trivial, settled, remaining = preprocess(request.instance, spec)
     t1 = time.perf_counter()
 
     ctx = _Ctx(budget=request.conflict_budget, node_cap=request.node_cap,
-               omit_acyclicity=request.omit_acyclicity, seed=request.seed)
+               omit_acyclicity=request.omit_acyclicity)
     complete = True
     if remaining.answers:
         try:

@@ -243,15 +243,20 @@ class OracleAnswers:
 def oracle_answers(instance: PrioritizedInstance, semantics: str, repair_type: str,
                    fact_cap: int = DEFAULT_FACT_CAP,
                    pair_cap: int = DEFAULT_PAIR_CAP) -> OracleAnswers:
-    """Evaluate a semantics directly over the enumerated repair family.
+    """Evaluate a semantics directly over the enumerated repair family."""
+    return family_answers(instance, repair_family(instance, repair_type,
+                                                  fact_cap, pair_cap), semantics)
+
+
+def family_answers(instance: PrioritizedInstance, family: RepairFamily,
+                   semantics: str) -> OracleAnswers:
+    """Evaluate a semantics over a repair family built once.
 
     A repair supports an answer when it contains one of its listed supporting
     sets (supersets and inconsistent sets are harmless: the former witness
     entailment exactly like the real support they contain, the latter fit in
     no repair).
     """
-    family = repair_family(instance, repair_type, fact_cap, pair_cap)
-
     def entails(repair, answer):
         return any(cause <= repair for cause in answer.causes)
 

@@ -8,7 +8,7 @@ subsets of unit-soft sets. Maximization and MUS enumeration run on a
 once and then asked many questions under assumptions.
 
 Everything is deterministic: decisions pick the lowest unassigned variable,
-positive phase first; a nonzero seed only flips phases, never verdicts.
+positive phase first.
 Branching is amortised through a scan cursor that backtracking lowers again.
 """
 
@@ -60,10 +60,9 @@ class SolverSession:
     """
 
     def __init__(self, nvars: int = 0, conflict_budget: Optional[int] = None,
-                 seed: int = 0, stats: Optional[SolverStats] = None):
+                 stats: Optional[SolverStats] = None):
         self.nvars = 0
         self.conflict_budget = conflict_budget
-        self.seed = seed
         self.stats = SolverStats() if stats is None else stats
         # soft literals -> outputs of the cardinality counter over them
         self._counters: dict[tuple[int, ...], list[int]] = {}
@@ -247,12 +246,7 @@ class SolverSession:
         while v <= top and assign[v] is not None:
             v += 1
         self._cursor = v
-        if v > top:
-            return None
-        if self.seed:
-            flip = ((v * 2654435761 + self.seed * 40503) >> 7) & 1
-            return -v if flip else v
-        return v
+        return v if v <= top else None
 
     def _analyze_final(self, failed: int) -> frozenset[int]:
         """Assumptions implicated in forcing the failed assumption false."""

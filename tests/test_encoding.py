@@ -9,7 +9,7 @@ from repairqa.filters import remove_self_inconsistent
 from repairqa.generate import priority_for_mode, random_instance
 from repairqa.model import make_answer, make_instance, reachable_minus_set
 from repairqa.oracle import enumerate_completion_repairs, enumerate_pareto_repairs
-from repairqa.sat import SolverSession, solve_clauses
+from repairqa.sat import solve_clauses
 
 from conftest import ALPHA, BETA, DELTA, GAMMA, loaded, small_instances
 
@@ -169,25 +169,22 @@ class TestEncodeMax:
         for clause in clauses:
             assert {k for _, k in fact_clause(f, clause)} <= used
 
-    def test_completion_orders_exactly_one_way(self, ex1):
+    def test_completion_kill_arcs_refute_only_the_cyclic_choice(self, ex1):
         f = CnfFormula()
         clauses, used = encode_max(f, ex1, "c", {DELTA})
         assert used == {ALPHA, BETA, GAMMA, DELTA}
-        session = SolverSession(f.nvars)
-        for clause in f.hard:
-            session.add_clause(clause)
-        comp = lambda a, b: f.index[("comp", None, a, b)]
-        # the fixed preferences appear as unit clauses
-        assert (comp(ALPHA, BETA),) in f.hard
-        assert (comp(GAMMA, DELTA),) in f.hard
-        # each open pair is oriented exactly one way
-        for a, b in ((ALPHA, DELTA), (BETA, GAMMA)):
-            assert not session.solve([comp(a, b), comp(b, a)]).is_sat
-            assert not session.solve([-comp(a, b), -comp(b, a)]).is_sat
-        # the one cyclic joint orientation is rejected, the other three are fine
-        assert not session.solve([comp(DELTA, ALPHA), comp(BETA, GAMMA)]).is_sat
+        assert {key[0] for key in f.keys} == {"fact", "pref", "trans"}
+        # one kill arc into each fact from every partner it is not preferred to
+        kills = {(key[2], key[3]) for key in f.keys if key[0] == "pref"}
+        assert kills == {(ALPHA, BETA), (GAMMA, DELTA), (ALPHA, DELTA),
+                         (DELTA, ALPHA), (BETA, GAMMA), (GAMMA, BETA)}
+        session = loaded(f.nvars, f.hard)
+        pref = lambda a, b: f.index[("pref", None, a, b)]
+        # with the priority arcs alpha->beta and gamma->delta, only delta->alpha
+        # together with beta->gamma closes a cycle
+        assert not session.solve([pref(DELTA, ALPHA), pref(BETA, GAMMA)]).is_sat
         sat_count = sum(
-            session.solve([comp(*da), comp(*bc)]).is_sat
+            session.solve([pref(*da), pref(*bc)]).is_sat
             for da in ((ALPHA, DELTA), (DELTA, ALPHA))
             for bc in ((BETA, GAMMA), (GAMMA, BETA)))
         assert sat_count == 3
@@ -343,6 +340,8 @@ def test_max_variants_equisatisfiable_when_score_structured():
 
 
 def test_completion_models_never_carry_cyclic_orders():
+    # the true kill arcs of a model plus the priority arcs form no cycle
+    open_arcs = 0
     for inst in small_instances(30, seed=23):
         nodes = sorted(inst.conflicts.facts() - inst.conflicts.self_inconsistent)
         if not nodes:
@@ -351,8 +350,12 @@ def test_completion_models_never_carry_cyclic_orders():
         encode_max(f, inst, "c", set(nodes))
         res = solve_clauses(f.nvars, f.hard)
         assert res.is_sat  # a completion always exists
-        edges = [(key[2], key[3]) for key, var in f.index.items()
-                 if key[0] == "comp" and res.model[var]]
+        kills = [(key[2], key[3]) for key, var in f.index.items()
+                 if key[0] == "pref" and res.model[var]]
+        prefers = inst.priority.prefers
+        open_arcs += sum(1 for a, b in kills if not prefers(a, b))
+        edges = kills + [(a, b) for a, b in inst.priority.sorted_edges()
+                         if a in nodes and b in nodes]
         succ = {}
         for a, b in edges:
             succ.setdefault(a, set()).add(b)
@@ -369,6 +372,7 @@ def test_completion_models_never_carry_cyclic_orders():
             return False
 
         assert not any(has_cycle(v) for v in list(succ) if v not in seen)
+    assert open_arcs > 30
 
 
 def test_completion_block_models_are_the_completion_repairs():
@@ -407,19 +411,27 @@ def test_completion_block_skips_refuted_directions(ex1, which):
     inst = ex1 if which == "ex1" else _score_instance()
     prefers = inst.priority.prefers
     pairs = inst.conflicts.sorted_pairs()
+    open_pairs = {(a, b) for a, b in pairs if not prefers(a, b) and not prefers(b, a)}
     # closure rows start only from the smaller end of each open pair
-    starts = {a for a, b in pairs if not prefers(a, b) and not prefers(b, a)}
+    starts = {a for a, _ in open_pairs}
     assert starts and len(starts) < len(inst.conflicts.facts())
     f = CnfFormula()
     encode_max(f, inst, "c", set(inst.conflicts.facts()))
+    assert {key[0] for key in f.keys} == {"fact", "pref", "trans"}
+    # no kill arc runs against the priority
     for a, b in pairs:
         for hi, lo in ((a, b), (b, a)):
             if prefers(hi, lo):
-                assert ("comp", None, hi, lo) in f.index
-                assert ("comp", None, lo, hi) not in f.index
+                assert ("pref", None, hi, lo) in f.index
                 assert ("pref", None, lo, hi) not in f.index
     rows = [clause for clause in f.hard
-            if [f.key_of(abs(l))[0] for l in clause] == ["trans", "comp", "trans"]]
-    assert rows
+            if any(f.key_of(abs(l))[0] == "trans" for l in clause)]
+    assert any(len(row) == 3 for row in rows)
     for row in rows:
-        assert f.key_of(abs(row[0]))[2] in starts
+        keys = [f.key_of(abs(l)) for l in row]
+        assert {k[2] for k in keys if k[0] == "trans"} <= starts
+        # a row reads a kill arc only over an open pair, and only such a row
+        # is ternary
+        arcs = [tuple(sorted(k[2:])) for k in keys if k[0] == "pref"]
+        assert len(arcs) <= 1 and set(arcs) <= open_pairs
+        assert len(row) < 3 or arcs

@@ -198,17 +198,6 @@ class TestFilterCommand:
         doc = json.loads((tmp_path / "o.json").read_text())
         assert doc["complete"] is False
 
-    def test_answer_set_independent_of_seed(self, fixture_paths, tmp_path):
-        kb, ans = fixture_paths
-        answers = []
-        for seed in (0, 7, 12345):
-            out = tmp_path / f"out{seed}.json"
-            assert main(["filter", "--sem", "ar", "--repair", "p2",
-                         "--algo", "assume", "--kb", kb, "--ans", ans,
-                         "--seed", str(seed), "--out", str(out)]) == 0
-            answers.append(json.loads(out.read_text())["answers"])
-        assert answers[0] == answers[1] == answers[2] == ["q(a)"]
-
     def test_dump_cnf(self, fixture_paths, tmp_path):
         kb, ans = fixture_paths
         dump = tmp_path / "psi.wcnf"
@@ -218,6 +207,29 @@ class TestFilterCommand:
                      "--dump-cnf", str(dump)]) == 0
         text = dump.read_text()
         assert "p wcnf" in text and "c var 1" in text
+
+    def test_dump_cnf_is_the_solved_formula(self, tmp_path):
+        # 0 beats 1, so 0 is trivially safe, 1 lost and then 2 safe; only the
+        # open pair {3, 4} is left to the solver
+        inst = make_instance(range(5), [(0, 1), (1, 2), (3, 4)], [(0, 1)],
+                             answers=[make_answer("trivial", [[0]]),
+                                      make_answer("settledyes", [[2]]),
+                                      make_answer("settledno", [[1]]),
+                                      make_answer("open", [[3]])])
+        kb, ans = tmp_path / "kb.json", tmp_path / "ans.json"
+        save_instance(inst, str(kb), str(ans))
+        dump = tmp_path / "psi.wcnf"
+        assert main(["filter", "--sem", "brave", "--repair", "p1",
+                     "--algo", "maxsat", "--kb", str(kb), "--ans", str(ans),
+                     "--out", str(tmp_path / "o.json"),
+                     "--dump-cnf", str(dump)]) == 0
+        names = {line.split(" = ")[1] for line in dump.read_text().splitlines()
+                 if line.startswith("c var ")}
+        assert "answer(open)" in names
+        assert not {"answer(trivial)", "answer(settledyes)", "answer(settledno)",
+                    "fact(0)", "fact(1)", "fact(2)"} & names
+        doc = json.loads((tmp_path / "o.json").read_text())
+        assert doc["answers"] == ["open", "settledyes", "trivial"]
 
 
 class TestGenPriority:
@@ -320,6 +332,23 @@ class TestVerifyCommand:
         assert skipped == 3 and not mismatches
         assert checked == sum(c.repair != "c" for c in verify.combos_for(inst))
 
+    def test_check_instance_builds_each_family_once(self, monkeypatch):
+        from repairqa import oracle
+        calls = []
+        original = oracle.repair_family
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "repair_family", counted)
+        monkeypatch.setattr(verify, "repair_family", counted, raising=False)
+        for i in range(4):
+            inst = verification_instance(i, 0, max_facts=9)
+            checked, skipped, mismatches = verify.check_instance(inst, i)
+            assert checked and not skipped and not mismatches
+        assert calls == ["s", "p", "c"] * 4
+
     def test_default_run_skips_nothing(self, capsys):
         assert main(["verify", "--trials", "6", "--seed", "1"]) == 0
         assert "groups skipped over the oracle caps: 0" in capsys.readouterr().out
@@ -390,14 +419,12 @@ class TestBenchCommand:
     def test_counter_columns_match_the_request(self, fixture_paths, ex1, capsys):
         kb, ans = fixture_paths
         assert main(["bench", "--sem", "iar", "--repair", "c", "--algo",
-                     "maxsat,muses", "--kb", kb, "--ans", ans, "--repeat", "2",
-                     "--seed", "7"]) == 0
+                     "maxsat,muses", "--kb", kb, "--ans", ans, "--repeat", "2"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert [row["algorithm"] for row in rows] == ["maxsat", "muses"]
         for row in rows:
             stats = answer_query(FilterRequest(
-                ex1, EncodingSpec("iar", "c", "c", 1), row["algorithm"],
-                seed=7)).solver_stats
+                ex1, EncodingSpec("iar", "c", "c", 1), row["algorithm"])).solver_stats
             assert stats["decisions"] > 0
             for key in ("decisions", "conflicts", "propagations"):
                 assert int(row[key]) == stats[key]
