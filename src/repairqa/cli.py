@@ -4,8 +4,8 @@ Subcommands: filter (answer a query under a chosen semantics), genpriority
 (derive a priority relation for an instance), geninstance (synthesize a
 random instance), verify (agreement suite against the brute-force oracle),
 and bench (timing table with solver counters). Exit codes: 0 success,
-2 invalid combination or input, 3 solver budget exhausted (partial results
-flagged).
+2 invalid combination, input or file, 3 solver budget exhausted (partial
+results flagged).
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import sys
 
 from .encoding import (DEFAULT_NODE_CAP, SEMANTICS, CnfFormula, EncodingSpec,
                        build_multi_formula, export_dimacs)
-from .errors import CapacityError, InputError, PairingError
 from .files import (load_instance, result_document, save_instance, write_json)
-from .filters import ALGORITHMS, FilterRequest, answer_query, preprocess, valid_pairing
+from .filters import ALGORITHMS, FilterRequest, answer_query, preprocess
 from .generate import priority_for_mode, random_instance
 from .model import is_score_structured
 from .verify import run_verification
@@ -34,7 +33,9 @@ EXIT_BUDGET = 3
 
 def _spec_from_flags(args) -> EncodingSpec:
     repair, max_variant = REPAIR_FLAGS[args.repair]
-    return EncodingSpec(args.sem, repair, max_variant, args.neg)
+    return EncodingSpec(args.sem, repair, max_variant, args.neg,
+                        node_cap=args.node_cap,
+                        omit_acyclicity=getattr(args, "mutate", None) == "drop-acyc")
 
 
 def _below(flag: str, value, floor: int) -> bool:
@@ -60,28 +61,19 @@ def _add_filter_flags(parser, with_algo=True):
 
 
 def cmd_filter(args) -> int:
-    if _below("--budget", args.budget, 0):
+    if _below("--budget", args.budget, 0) or _below("--node-cap", args.node_cap, 1):
         return EXIT_BAD_COMBINATION
     spec = _spec_from_flags(args)
-    if not valid_pairing(spec.semantics, args.algo):
-        print(f"error: algorithm {args.algo!r} cannot compute {spec.semantics!r}",
-              file=sys.stderr)
-        return EXIT_BAD_COMBINATION
     instance = load_instance(args.kb, args.ans)
-    omit = args.mutate == "drop-acyc"
+    report = answer_query(FilterRequest(instance, spec, args.algo,
+                                        conflict_budget=args.budget))
     if args.dump_cnf:
         # the formula the strategies solve: the residue's remaining answers
         residue = preprocess(instance, spec)[3]
-        formula = CnfFormula()
-        if residue.answers:
-            formula = build_multi_formula(residue, spec, list(residue.answers),
-                                          node_cap=args.node_cap,
-                                          omit_acyclicity=omit)
+        formula = (build_multi_formula(residue, spec, list(residue.answers))
+                   if residue.answers else CnfFormula())
         with open(args.dump_cnf, "wb") as handle:
             handle.write(export_dimacs(formula, weighted=bool(formula.soft_units)))
-    report = answer_query(FilterRequest(
-        instance, spec, args.algo, conflict_budget=args.budget,
-        node_cap=args.node_cap, omit_acyclicity=omit))
     doc = result_document(args.sem, args.repair, args.neg, args.algo, report)
     if args.out:
         write_json(args.out, doc)
@@ -167,24 +159,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if _below("--repeat", args.repeat, 1) or _below("--budget", args.budget, 0):
+    if (_below("--repeat", args.repeat, 1) or _below("--budget", args.budget, 0)
+            or _below("--node-cap", args.node_cap, 1)):
         return EXIT_BAD_COMBINATION
     instance = load_instance(args.kb, args.ans)
-    spec_base = REPAIR_FLAGS[args.repair]
+    spec = _spec_from_flags(args)
     rows = []
     for algo in args.algo.split(","):
         algo = algo.strip()
-        spec = EncodingSpec(args.sem, spec_base[0], spec_base[1], args.neg)
-        if not valid_pairing(spec.semantics, algo):
-            print(f"error: algorithm {algo!r} cannot compute {args.sem!r}",
-                  file=sys.stderr)
-            return EXIT_BAD_COMBINATION
         pre = flt = 0.0
         complete = True
         for _ in range(args.repeat):
             report = answer_query(FilterRequest(
-                instance, spec, algo, conflict_budget=args.budget,
-                node_cap=args.node_cap))
+                instance, spec, algo, conflict_budget=args.budget))
             pre += report.timings_ms["preprocess_ms"]
             flt += report.timings_ms["filter_ms"]
             complete = complete and report.complete
@@ -289,7 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PairingError, InputError, CapacityError, ValueError) as err:
+    except (ValueError, OSError) as err:  # the package's errors are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_COMBINATION
 

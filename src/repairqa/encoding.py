@@ -5,7 +5,8 @@ extendable to an optimal repair, combined with clauses that force or block
 query supports. Two blocking-clause variants are supported, three maximality
 encodings (plus the trivial one for plain subset repairs), and one assembler:
 every target gets an activator literal, and a single-target formula is the
-one-target formula with its activator asserted.
+one-target formula with its activator asserted. An `EncodingSpec` carries
+every setting the assembler reads.
 """
 
 from __future__ import annotations
@@ -22,25 +23,36 @@ VarKey = tuple
 SEMANTICS = ("ar", "iar", "brave")
 REPAIRS = ("s", "p", "c")
 MAX_VARIANTS = ("s", "p1", "p2", "c")
-# maximality encodings serving each repair notion, the default first; the
-# completion notion may borrow p1/p2 only under score-structured priorities
+# maximality encodings that may serve each repair notion, the default first;
+# `max_variants` narrows this to an instance
 MAXIMALITY = {"s": ("s",), "p": ("p1", "p2"), "c": ("c", "p1", "p2")}
 
 DEFAULT_NODE_CAP = 64
 
 
+def max_variants(repair: str, instance: PrioritizedInstance) -> tuple[str, ...]:
+    """The maximality encodings serving `repair` on `instance`, the default
+    first. The completion notion borrows "p1"/"p2" only under a
+    score-structured priority, where its repairs are the pareto ones."""
+    if repair == "c" and not instance.score_structured:
+        return ("c",)
+    return MAXIMALITY[repair]
+
+
 @dataclass(frozen=True)
 class EncodingSpec:
-    """Which semantics, repair notion, maximality and blocking variants to use.
-
-    Pairing a completion repair with a "p1"/"p2" maximality is legal only for
-    score-structured priorities; callers check that against the instance.
+    """Which semantics, repair notion, maximality and blocking variants to use,
+    the completion block's fact cap, and whether to drop its acyclicity rows
+    (a known-bad mutation for the agreement harness). Whether the maximality
+    serves the repair on a given instance is `max_variants`' rule.
     """
 
     semantics: str
     repair: str
     max_variant: str
     neg_variant: int = 1
+    node_cap: int = DEFAULT_NODE_CAP
+    omit_acyclicity: bool = False
 
     def __post_init__(self):
         if self.semantics not in SEMANTICS:
@@ -64,7 +76,6 @@ class CnfFormula:
         self.index: dict[VarKey, int] = {}
         self.hard: list[tuple[int, ...]] = []
         self.soft_units: list[int] = []
-        self.scopes: dict[str, frozenset[FactId]] = {}
         self._clause_set: set[tuple[int, ...]] = set()
 
     # -- variables ------------------------------------------------------
@@ -311,23 +322,17 @@ def effective_instance(instance: PrioritizedInstance,
 
 def _scoped_block(formula: CnfFormula, instance: PrioritizedInstance,
                   spec: EncodingSpec, base_clauses: list[tuple[int, ...]],
-                  ns: Optional[int], node_cap: int, omit_acyclicity: bool,
-                  tag: str = "") -> None:
+                  ns: Optional[int]) -> None:
+    """Maximality and consistency over the facts the base clauses read."""
     seed = formula.facts_in(base_clauses, ns)
-    max_clauses, used = encode_max(formula, instance, spec.max_variant, seed,
-                                   ns=ns, node_cap=node_cap,
-                                   omit_acyclicity=omit_acyclicity)
-    full = seed | used
-    encode_consistency(formula, instance, full, ns=ns)
-    suffix = f"@{ns}" if ns is not None else ""
-    formula.scopes[f"seed{suffix}{tag}"] = seed
-    formula.scopes[f"full{suffix}{tag}"] = full
+    _, used = encode_max(formula, instance, spec.max_variant, seed, ns=ns,
+                         node_cap=spec.node_cap,
+                         omit_acyclicity=spec.omit_acyclicity)
+    encode_consistency(formula, instance, seed | used, ns=ns)
 
 
 def build_single_formula(instance: PrioritizedInstance, spec: EncodingSpec,
-                         target: Target,
-                         node_cap: int = DEFAULT_NODE_CAP,
-                         omit_acyclicity: bool = False) -> CnfFormula:
+                         target: Target) -> CnfFormula:
     """Formula deciding one answer, cause, or fact under the chosen semantics.
 
     It is the one-target multi formula with the target's activator asserted,
@@ -344,17 +349,15 @@ def build_single_formula(instance: PrioritizedInstance, spec: EncodingSpec,
         raise ValueError("brave formulas take an answer or a cause as target")
     if isinstance(target, (set, frozenset)):
         target = PotentialAnswer("cause", (frozenset(target),))
-    formula = build_multi_formula(instance, spec, [target], node_cap=node_cap,
-                                  omit_acyclicity=omit_acyclicity)
+    formula = build_multi_formula(instance, spec, [target])
     formula.add(formula.soft_units)
     formula.soft_units.clear()
     return formula
 
 
 def build_multi_formula(instance: PrioritizedInstance, spec: EncodingSpec,
-                        targets: Union[Sequence[PotentialAnswer], Iterable[FactId]],
-                        node_cap: int = DEFAULT_NODE_CAP,
-                        omit_acyclicity: bool = False) -> CnfFormula:
+                        targets: Union[Sequence[PotentialAnswer], Iterable[FactId]]
+                        ) -> CnfFormula:
     """One formula covering many answers (or, for "iar", many single facts).
 
     Each target gets an activator variable, emitted as a unit soft literal so
@@ -379,8 +382,7 @@ def build_multi_formula(instance: PrioritizedInstance, spec: EncodingSpec,
                                                  spec.neg_variant, multi=True)
                 else:
                     all_base += encode_pos_query(formula, ans, multi=True)
-            _scoped_block(formula, instance, spec, all_base, None,
-                          node_cap, omit_acyclicity)
+            _scoped_block(formula, instance, spec, all_base, None)
         else:  # iar: per distinct cause, namespaced; guards per answer
             ns_of: dict[frozenset, int] = {}
             for ans in targets:
@@ -395,8 +397,7 @@ def build_multi_formula(instance: PrioritizedInstance, spec: EncodingSpec,
                                             spec.neg_variant,
                                             activator=activator, ns=ns)
                     if first_time:
-                        _scoped_block(formula, instance, spec, base, ns,
-                                      node_cap, omit_acyclicity)
+                        _scoped_block(formula, instance, spec, base, ns)
         for ans in targets:
             formula.add_soft_unit(formula.answer_var(ans.answer_id))
     else:
@@ -408,8 +409,7 @@ def build_multi_formula(instance: PrioritizedInstance, spec: EncodingSpec,
             all_base += encode_neg_cause(formula, instance, {fact},
                                          spec.neg_variant,
                                          activator=("assume", fact))
-        _scoped_block(formula, instance, spec, all_base, None,
-                      node_cap, omit_acyclicity)
+        _scoped_block(formula, instance, spec, all_base, None)
         for fact in rel:
             formula.add_soft_unit(formula.assume_var(fact))
     return formula

@@ -23,15 +23,18 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError:
-        raise InputError(f"{path}: file not found") from None
+    except OSError as err:
+        raise InputError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as err:
         raise InputError(f"{path}: parse error at line {err.lineno}, "
                          f"column {err.colno}: {err.msg}") from None
 
 
 def _is_fact_list(entry) -> bool:
-    return isinstance(entry, list) and all(isinstance(f, int) for f in entry)
+    # exactly int: JSON's true and false parse to bool, an int subclass
+    return isinstance(entry, list) and all(type(f) is int for f in entry)
 
 
 def _list_field(doc, name: str, source: str, required: bool = False) -> list:
@@ -59,12 +62,15 @@ def parse_instance(kb_doc, answers_doc, source: str = "<input>",
         if not isinstance(entry, dict) or "id" not in entry:
             raise InputError(f"{source}: fact {entry!r} is not an object with an \"id\"")
         fid = entry["id"]
-        if not isinstance(fid, int) or fid < 0:
+        if type(fid) is not int or fid < 0:
             raise InputError(f"{source}: fact id {fid!r} is not a non-negative integer")
         if fid in labels:
             raise InputError(f"{source}: duplicate fact id {fid}")
+        label = entry.get("label", str(fid))
+        if not isinstance(label, str):
+            raise InputError(f"{source}: label {label!r} of fact {fid} is not a string")
         ids.append(fid)
-        labels[fid] = entry.get("label", str(fid))
+        labels[fid] = label
     known = set(ids)
     pairs = []
     unary = []

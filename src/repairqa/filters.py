@@ -8,7 +8,8 @@ Every strategy computes the same answer set for a given semantics and repair
 notion; they differ in how they drive the solver (one formula per answer,
 one shared formula with soft activators maximized, enumerated as cores, or
 assumed one at a time, plus cause- and fact-grained variants for the
-intersection semantics).
+intersection semantics). `STRATEGIES` is the one table of the strategies and
+the semantics each computes.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .encoding import (DEFAULT_NODE_CAP, MAXIMALITY, CnfFormula, EncodingSpec,
+from .encoding import (MAXIMALITY, SEMANTICS, CnfFormula, EncodingSpec,
                        build_multi_formula, build_single_formula,
-                       effective_instance)
+                       effective_instance, max_variants)
 from .errors import BudgetExceededError, PairingError
 from .model import FactId, PotentialAnswer, PrioritizedInstance
 from .sat import UNSAT, SolverSession, SolverStats, enumerate_mus, maximize_soft
-
-ALGORITHMS = ("simple", "maxsat", "muses", "assume", "cause", "iarcauses", "iarfacts")
 
 CLASS_TRIVIAL = "trivial"
 CLASS_IAR = "iar-not-trivial"
@@ -33,24 +32,12 @@ CLASS_BRAVE = "brave-not-ar"
 CLASS_NONE = "not-brave"
 
 
-def valid_pairing(semantics: str, algorithm: str) -> bool:
-    if algorithm not in ALGORITHMS:
-        return False
-    if algorithm == "cause":
-        return semantics in ("brave", "iar")
-    if algorithm in ("iarcauses", "iarfacts"):
-        return semantics == "iar"
-    return True
-
-
 @dataclass(frozen=True)
 class FilterRequest:
     instance: PrioritizedInstance
     spec: EncodingSpec
     algorithm: str
     conflict_budget: Optional[int] = None
-    node_cap: int = DEFAULT_NODE_CAP
-    omit_acyclicity: bool = False
 
 
 @dataclass
@@ -167,8 +154,7 @@ def preprocess(instance: PrioritizedInstance, spec: EncodingSpec
     """
     # preprocessing reads the priority-dependent conflict graph too
     instance = effective_instance(instance, spec)
-    if (spec.repair == "c" and spec.max_variant != "c"
-            and not instance.score_structured):
+    if spec.max_variant not in max_variants(spec.repair, instance):
         raise PairingError(
             "pareto-style maximality stands in for completion repairs only "
             "under score-structured priorities")
@@ -184,8 +170,6 @@ def preprocess(instance: PrioritizedInstance, spec: EncodingSpec
 @dataclass
 class _Ctx:
     budget: Optional[int]
-    node_cap: int
-    omit_acyclicity: bool
     stats: SolverStats = field(default_factory=SolverStats)
     held: set = field(default_factory=set)
 
@@ -207,14 +191,8 @@ def _session(psi: CnfFormula, ctx: _Ctx) -> SolverSession:
 
 def _holds(instance, spec, target, ctx) -> bool:
     """Decide one answer, cause or fact with a formula of its own."""
-    psi = build_single_formula(instance, spec, target, node_cap=ctx.node_cap,
-                               omit_acyclicity=ctx.omit_acyclicity)
+    psi = build_single_formula(instance, spec, target)
     return _verdict_is_hold(spec, _session(psi, ctx).solve().is_sat)
-
-
-def _build_multi(instance, spec, targets, ctx) -> CnfFormula:
-    return build_multi_formula(instance, spec, targets, node_cap=ctx.node_cap,
-                               omit_acyclicity=ctx.omit_acyclicity)
 
 
 def _sweep_activators(psi: CnfFormula, var_of: dict, one_round: bool,
@@ -260,7 +238,7 @@ def filter_all_maxsat(instance: PrioritizedInstance, spec: EncodingSpec,
     jointly.
     """
     answers = instance.answers
-    psi = _build_multi(instance, spec, list(answers), ctx)
+    psi = build_multi_formula(instance, spec, list(answers))
     var_of = {a.answer_id: psi.answer_var(a.answer_id) for a in answers}
     observed = _sweep_activators(psi, var_of, spec.semantics == "iar", ctx)
     if spec.semantics == "brave":
@@ -274,7 +252,7 @@ def filter_all_muses(instance: PrioritizedInstance, spec: EncodingSpec,
                      ctx: _Ctx) -> set[str]:
     """Singleton activator cores decide the verdicts outright."""
     answers = instance.answers
-    psi = _build_multi(instance, spec, list(answers), ctx)
+    psi = build_multi_formula(instance, spec, list(answers))
     muses = enumerate_mus(_session(psi, ctx), psi.soft_units)
     single_vars = {next(iter(s)) for s in muses if len(s) == 1}
     blocked = {a.answer_id for a in answers
@@ -289,7 +267,7 @@ def filter_all_muses(instance: PrioritizedInstance, spec: EncodingSpec,
 def filter_assumptions(instance: PrioritizedInstance, spec: EncodingSpec,
                        ctx: _Ctx) -> set[str]:
     answers = instance.answers
-    psi = _build_multi(instance, spec, list(answers), ctx)
+    psi = build_multi_formula(instance, spec, list(answers))
     session = _session(psi, ctx)
     for ans in answers:
         res = session.solve([psi.answer_var(ans.answer_id)])
@@ -340,7 +318,7 @@ def filter_iar_facts(instance: PrioritizedInstance, spec: EncodingSpec,
         relevant -= iar_facts
         relevant -= non_iar
         if relevant:
-            psi = _build_multi(instance, spec, sorted(relevant), ctx)
+            psi = build_multi_formula(instance, spec, sorted(relevant))
             var_of = {f: psi.assume_var(f) for f in sorted(relevant)}
             new_non = _sweep_activators(psi, var_of, False, ctx)
             iar_facts |= relevant - new_non
@@ -351,15 +329,21 @@ def filter_iar_facts(instance: PrioritizedInstance, spec: EncodingSpec,
     return ctx.held
 
 
-_DISPATCH = {
-    "simple": filter_simple,
-    "maxsat": filter_all_maxsat,
-    "muses": filter_all_muses,
-    "assume": filter_assumptions,
-    "cause": filter_cause_by_cause,
-    "iarcauses": filter_iar_causes,
-    "iarfacts": filter_iar_facts,
+# name -> (strategy, the semantics it computes)
+STRATEGIES = {
+    "simple": (filter_simple, SEMANTICS),
+    "maxsat": (filter_all_maxsat, SEMANTICS),
+    "muses": (filter_all_muses, SEMANTICS),
+    "assume": (filter_assumptions, SEMANTICS),
+    "cause": (filter_cause_by_cause, ("iar", "brave")),
+    "iarcauses": (filter_iar_causes, ("iar",)),
+    "iarfacts": (filter_iar_facts, ("iar",)),
 }
+ALGORITHMS = tuple(STRATEGIES)
+
+
+def valid_pairing(semantics: str, algorithm: str) -> bool:
+    return algorithm in STRATEGIES and semantics in STRATEGIES[algorithm][1]
 
 
 # ----------------------------------------------------------------------
@@ -377,12 +361,11 @@ def answer_query(request: FilterRequest) -> FilterReport:
     removed, trivial, settled, remaining = preprocess(request.instance, spec)
     t1 = time.perf_counter()
 
-    ctx = _Ctx(budget=request.conflict_budget, node_cap=request.node_cap,
-               omit_acyclicity=request.omit_acyclicity)
+    ctx = _Ctx(budget=request.conflict_budget)
     complete = True
     if remaining.answers:
         try:
-            _DISPATCH[request.algorithm](remaining, spec, ctx)
+            STRATEGIES[request.algorithm][0](remaining, spec, ctx)
         except BudgetExceededError:
             complete = False
     t2 = time.perf_counter()
@@ -402,8 +385,7 @@ def answer_query(request: FilterRequest) -> FilterReport:
 
 def classify_answers(instance: PrioritizedInstance, repair_type: str,
                      neg_variant: int = 1, algorithm: str = "simple",
-                     conflict_budget: Optional[int] = None,
-                     node_cap: int = DEFAULT_NODE_CAP) -> dict[str, str]:
+                     conflict_budget: Optional[int] = None) -> dict[str, str]:
     """Bucket every answer by the strongest semantics it satisfies."""
     max_variant = MAXIMALITY[repair_type][0]
     reports = {}
@@ -411,8 +393,7 @@ def classify_answers(instance: PrioritizedInstance, repair_type: str,
         algo = algorithm if valid_pairing(sem, algorithm) else "simple"
         spec = EncodingSpec(sem, repair_type, max_variant, neg_variant)
         reports[sem] = answer_query(FilterRequest(
-            instance, spec, algo, conflict_budget=conflict_budget,
-            node_cap=node_cap))
+            instance, spec, algo, conflict_budget=conflict_budget))
     trivial = reports["iar"].trivial_answers
     out = {}
     for ans in instance.answers:

@@ -13,7 +13,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .encoding import MAXIMALITY, SEMANTICS, EncodingSpec
+from .encoding import REPAIRS, SEMANTICS, EncodingSpec, max_variants
 from .errors import CapacityError
 from .files import example_instance, instance_documents
 from .filters import ALGORITHMS, FilterRequest, answer_query, valid_pairing
@@ -38,19 +38,15 @@ class Combo:
 def combos_for(instance: PrioritizedInstance) -> list[Combo]:
     """All valid combinations for this instance.
 
-    The completion notion may borrow the pareto maximality encodings exactly
-    when the priority is score-structured (the two repair families coincide
-    then). Blocking variants only matter when causes get blocked, so "brave"
-    runs a single one.
+    The maximality encodings are `max_variants`' for the instance. Blocking
+    variants only matter when causes get blocked, so "brave" runs a single
+    one.
     """
-    score = instance.score_structured
-    variants = {repair: mvs if score or repair != "c" else ("c",)
-                for repair, mvs in MAXIMALITY.items()}
     out = []
     for sem, algos in ALGOS_FOR.items():
         negs = (1, 2) if sem in ("ar", "iar") else (1,)
-        for repair, mvs in variants.items():
-            for mv in mvs:
+        for repair in REPAIRS:
+            for mv in max_variants(repair, instance):
                 for neg in negs:
                     for algo in algos:
                         out.append(Combo(sem, repair, mv, neg, algo))
@@ -104,10 +100,9 @@ def check_instance(instance: PrioritizedInstance, trial: int = 0,
     Returns the combinations checked, the (semantics, repair) groups skipped
     because their oracle is over its cap, and the mismatches.
     """
-    omit_acyc = mutate == "drop-acyc"
     expected: dict[tuple[str, str], frozenset[str]] = {}
     skipped = 0
-    for repair in ("s", "p", "c"):
+    for repair in REPAIRS:
         try:
             family = repair_family(instance, repair)
         except CapacityError:
@@ -121,10 +116,10 @@ def check_instance(instance: PrioritizedInstance, trial: int = 0,
         if (combo.semantics, combo.repair) not in expected:
             continue
         spec = EncodingSpec(combo.semantics, combo.repair, combo.max_variant,
-                            combo.neg_variant)
+                            combo.neg_variant,
+                            omit_acyclicity=mutate == "drop-acyc")
         report = answer_query(FilterRequest(
-            instance, spec, combo.algorithm, conflict_budget=conflict_budget,
-            omit_acyclicity=omit_acyc))
+            instance, spec, combo.algorithm, conflict_budget=conflict_budget))
         checked += 1
         want = expected[(combo.semantics, combo.repair)]
         if report.answers != want:

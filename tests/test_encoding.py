@@ -222,11 +222,16 @@ class TestSingleFormulas:
         namespaces = {key[1] for key in formula.keys if key[0] == "fact"}
         assert namespaces == {0, 1}
 
-    def test_scopes_recorded(self, ex1):
+    def test_blocks_range_over_the_seed_and_its_closure(self, ex1):
+        # the guarded blocking clauses read the seed; the p1 block closes it
+        # under the conflict graph and consistency ranges over both
         spec = EncodingSpec("ar", "p", "p1", 1)
         formula = build_single_formula(ex1, spec, ex1.answers[0])
-        assert formula.scopes["seed"] == {ALPHA, GAMMA, DELTA}
-        assert formula.scopes["full"] == {ALPHA, BETA, GAMMA, DELTA}
+        guard = -formula.answer_var("q(a)")
+        seed = formula.facts_in(c for c in formula.hard if guard in c)
+        assert seed == {ALPHA, GAMMA, DELTA}
+        assert {key[2] for key in formula.keys if key[0] == "fact"} \
+            == {ALPHA, BETA, GAMMA, DELTA}
 
 
 class TestMultiFormulas:

@@ -160,6 +160,74 @@ class TestFilterCommand:
         assert code == 2
         assert "--budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["filter", "bench"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_node_cap_below_one_exits_2(self, fixture_paths, capsys, command, value):
+        kb, ans = fixture_paths
+        code = main([command, "--sem", "brave", "--repair", "c", "--algo", "simple",
+                     "--kb", kb, "--ans", ans, "--node-cap", value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--node-cap" in err and value in err
+
+    def test_bench_invalid_pairing_exits_2_without_rows(self, fixture_paths, capsys):
+        kb, ans = fixture_paths
+        code = main(["bench", "--sem", "brave", "--repair", "s",
+                     "--algo", "simple,iarcauses", "--kb", kb, "--ans", ans,
+                     "--repeat", "1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert "algorithm 'iarcauses' cannot compute 'brave'" in err
+
+    def test_invalid_pairing_writes_no_dump(self, fixture_paths, tmp_path, capsys):
+        kb, ans = fixture_paths
+        dump = tmp_path / "psi.cnf"
+        code = main(["filter", "--sem", "brave", "--repair", "s",
+                     "--algo", "iarcauses", "--kb", kb, "--ans", ans,
+                     "--dump-cnf", str(dump)])
+        assert code == 2
+        assert "algorithm 'iarcauses' cannot compute 'brave'" in capsys.readouterr().err
+        assert not dump.exists()
+
+    @pytest.mark.parametrize("bad", ["directory", "not-utf8"])
+    def test_unreadable_input_exits_2_naming_it(self, fixture_paths, tmp_path,
+                                                capsys, bad):
+        kb, ans = fixture_paths
+        if bad == "directory":
+            kb = tmp_path / "kbdir"
+            kb.mkdir()
+        else:
+            kb = tmp_path / "latin1.json"
+            kb.write_bytes('{"facts": [{"id": 0, "label": "café"}]}'.encode("latin-1"))
+        code = main(["filter", "--sem", "brave", "--repair", "s", "--algo", "simple",
+                     "--kb", str(kb), "--ans", ans])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kb}: ") and ans not in err
+
+    @pytest.mark.parametrize("target", ["filter-out", "dump-cnf", "bench-out",
+                                        "geninstance-out-kb"])
+    def test_output_into_missing_directory_exits_2_naming_it(
+            self, fixture_paths, tmp_path, capsys, target):
+        kb, ans = fixture_paths
+        missing = str(tmp_path / "missing" / "out.txt")
+        query = ["--sem", "brave", "--repair", "s", "--kb", kb, "--ans", ans]
+        argv = {
+            "filter-out": ["filter", *query, "--algo", "simple", "--out", missing],
+            "dump-cnf": ["filter", *query, "--algo", "simple", "--dump-cnf", missing],
+            "bench-out": ["bench", *query, "--algo", "simple", "--repeat", "1",
+                          "--out", missing],
+            "geninstance-out-kb": ["geninstance", "--facts", "4", "--conflicts", "2",
+                                   "--answers", "1", "--max-cause-size", "1",
+                                   "--seed", "0", "--out-kb", missing,
+                                   "--out-ans", str(tmp_path / "a.json")],
+        }[target]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and missing in err
+        assert not out
+
     @pytest.mark.parametrize("kb_doc, ans_doc, bad", [
         ({"facts": [{"label": "x"}]}, {"answers": []}, "kb"),
         ({"facts": [1, 2]}, {"answers": []}, "kb"),
@@ -170,9 +238,19 @@ class TestFilterCommand:
         ({"facts": [{"id": 0}]}, {"answers": [{"id": "a", "causes": [0]}]}, "ans"),
         ({"facts": [{"id": 0}]}, {"answers": [{"id": "a", "causes": [[0]]},
                                               {"id": "a", "causes": [[0]]}]}, "ans"),
+        # JSON booleans parse to bool, an int subclass, and are no fact ids
+        ({"facts": [{"id": True}]}, {"answers": []}, "kb"),
+        ({"facts": [{"id": 0}, {"id": 1}], "conflicts": [[True, 0]]},
+         {"answers": []}, "kb"),
+        ({"facts": [{"id": 0}, {"id": 1}], "conflicts": [[0, 1]],
+          "priority": [[True, False]]}, {"answers": []}, "kb"),
+        ({"facts": [{"id": 0}, {"id": 1}]},
+         {"answers": [{"id": "a", "causes": [[True]]}]}, "ans"),
+        ({"facts": [{"id": 0, "label": 7}]}, {"answers": []}, "kb"),
     ], ids=["fact-without-id", "facts-not-objects", "kb-not-object",
             "conflict-not-fact-ids", "answers-not-object", "answer-without-id",
-            "cause-not-list", "duplicate-answer-id"])
+            "cause-not-list", "duplicate-answer-id", "bool-fact-id",
+            "bool-conflict", "bool-priority", "bool-cause", "label-not-string"])
     def test_malformed_input_exits_2_naming_the_file(self, tmp_path, capsys,
                                                       kb_doc, ans_doc, bad):
         paths = {"kb": write(tmp_path, "kb.json", kb_doc),

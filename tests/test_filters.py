@@ -1,7 +1,7 @@
 import pytest
 
 from repairqa import filters, model
-from repairqa.encoding import EncodingSpec
+from repairqa.encoding import MAXIMALITY, REPAIRS, EncodingSpec, max_variants
 from repairqa.errors import CapacityError, PairingError
 from repairqa.filters import (ALGORITHMS, CLASS_AR, CLASS_IAR, CLASS_TRIVIAL,
                               FilterRequest, answer_query, classify_answers,
@@ -198,6 +198,31 @@ class TestPipelineMechanics:
     def test_invalid_pairing_rejected_before_solving(self, ex1):
         with pytest.raises(PairingError):
             run(ex1, "brave", "s", "iarcauses")
+
+    def test_valid_pairing_is_the_hand_written_table(self):
+        assert set(ALGORITHMS) == set(ALGOS_FOR["iar"])
+        for sem in (*ALGOS_FOR, "bogus"):
+            for algo in (*ALGORITHMS, "bogus"):
+                assert valid_pairing(sem, algo) == (algo in ALGOS_FOR.get(sem, ())), \
+                    (sem, algo)
+
+    def test_preprocess_refuses_p1_exactly_outside_max_variants(self, ex1):
+        # the fixture's priority is not score-structured, the settling one's is
+        refused = set()
+        for name, inst in (("ex1", ex1), ("score", _settling_instance())):
+            for repair in REPAIRS:
+                allowed = "p1" in max_variants(repair, inst)
+                if "p1" not in MAXIMALITY[repair]:
+                    assert not allowed
+                    with pytest.raises(ValueError):
+                        EncodingSpec("ar", repair, "p1")
+                    continue
+                try:
+                    filters.preprocess(inst, EncodingSpec("ar", repair, "p1"))
+                except PairingError:
+                    refused.add((name, repair))
+                assert allowed == ((name, repair) not in refused), (name, repair)
+        assert refused == {("ex1", "c")}
 
     def test_completion_with_pareto_maximality_needs_structure(self, ex1):
         # the fixture's priority is not score-structured

@@ -1,27 +1,33 @@
 """The names perfbench reaches into the package by, checked without a run.
 
-`perfbench/tracer.py` wraps functions and methods by attribute name, and
+`perfbench/tracer.py` wraps functions and methods by attribute name,
+`perfbench/workloads.py` builds its requests through the request API, and
 `perfbench/run.py` reads solver counters from the report by key; a rename in
-the package breaks the benchmark only when it runs. These tests load both
+the package breaks the benchmark only when it runs. These tests load those
 files from disk and check those names against the package.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 from repairqa.encoding import EncodingSpec
 from repairqa.filters import FilterRequest, answer_query
+from repairqa.oracle import oracle_answers
+from repairqa.verify import combos_for
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  PERFBENCH / "tracer.py")
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up by name
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -36,7 +42,7 @@ def run_counters() -> tuple:
 
 
 def test_every_wrapped_name_resolves_and_is_restored(ex1):
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     modules = {path.partition(".")[0] for path, _, _ in tracer.WRAPPED}
     rq = SimpleNamespace(**{m: importlib.import_module(f"repairqa.{m}")
                             for m in modules})
@@ -62,3 +68,17 @@ def test_report_carries_every_benchmark_counter(ex1):
     assert counters
     for name in counters:
         assert isinstance(report.solver_stats[name], int), name
+
+
+def test_workload_cells_answer_through_the_request_api(ex1):
+    # the cells are built as a benchmark set-up builds them: four positional
+    # EncodingSpec fields, FilterRequest(instance, spec, algorithm), and the
+    # combinations verify.combos_for lists
+    workloads = load_perfbench("workloads")
+    rq = SimpleNamespace(**{m: importlib.import_module(f"repairqa.{m}")
+                            for m in ("encoding", "filters", "verify")})
+    cells = workloads._cells(rq, ex1, None)
+    assert len(cells) == len(combos_for(ex1))
+    for cell in cells:
+        want = oracle_answers(ex1, cell.semantics, cell.repair).answers
+        assert answer_query(cell.request).answers == want, cell.name
