@@ -69,7 +69,7 @@ def cmd_filter(args) -> int:
                                         conflict_budget=args.budget))
     if args.dump_cnf:
         # the formula the strategies solve: the residue's remaining answers
-        residue = preprocess(instance, spec)[3]
+        residue = preprocess(instance, spec.repair)[3]
         formula = (build_multi_formula(residue, spec, list(residue.answers))
                    if residue.answers else CnfFormula())
         with open(args.dump_cnf, "wb") as handle:
@@ -122,6 +122,9 @@ def cmd_genpriority(args) -> int:
 
 
 def cmd_geninstance(args) -> int:
+    if (_below("--answers", args.answers, 0)
+            or _below("--max-cause-size", args.max_cause_size, 1)):
+        return EXIT_BAD_COMBINATION
     try:
         instance = random_instance(args.facts, args.conflicts, args.answers,
                                    args.max_cause_size, args.seed,

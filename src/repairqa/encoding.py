@@ -6,7 +6,8 @@ query supports. Two blocking-clause variants are supported, three maximality
 encodings (plus the trivial one for plain subset repairs), and one assembler:
 every target gets an activator literal, and a single-target formula is the
 one-target formula with its activator asserted. An `EncodingSpec` carries
-every setting the assembler reads.
+every setting the assembler reads. The encoders read the instance they are
+given; `filters.preprocess` derives it for the repair notion.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import CapacityError
-from .model import (EMPTY_PRIORITY, FactId, PotentialAnswer, PrioritizedInstance,
+from .model import (FactId, PotentialAnswer, PrioritizedInstance,
                     reachable_minus_set, reachable_set)
 
 VarKey = tuple
@@ -176,11 +177,10 @@ def encode_neg_cause(formula: CnfFormula, instance: PrioritizedInstance,
 
 
 def encode_neg_query(formula: CnfFormula, instance: PrioritizedInstance,
-                     answer: PotentialAnswer, variant: int,
-                     multi: bool = False) -> list[tuple[int, ...]]:
-    """Block every cause of the answer; in multi mode each block is guarded
-    by the answer's activator variable."""
-    activator = ("answer", answer.answer_id) if multi else None
+                     answer: PotentialAnswer, variant: int) -> list[tuple[int, ...]]:
+    """Block every cause of the answer, each block guarded by the answer's
+    activator variable."""
+    activator = ("answer", answer.answer_id)
     clauses = []
     for cause in answer.causes:
         clauses.extend(encode_neg_cause(formula, instance, cause, variant,
@@ -188,13 +188,13 @@ def encode_neg_query(formula: CnfFormula, instance: PrioritizedInstance,
     return clauses
 
 
-def encode_pos_query(formula: CnfFormula, answer: PotentialAnswer,
-                     multi: bool = False) -> list[tuple[int, ...]]:
-    """Require some cause of the answer to be fully selected."""
+def encode_pos_query(formula: CnfFormula,
+                     answer: PotentialAnswer) -> list[tuple[int, ...]]:
+    """Require some cause of the answer to be fully selected when the
+    answer's activator is true."""
     selectors = [formula.var(("causesel", answer.answer_id, i))
                  for i in range(len(answer.causes))]
-    head = [-formula.answer_var(answer.answer_id)] if multi else []
-    clauses = [formula.add(head + selectors)]
+    clauses = [formula.add([-formula.answer_var(answer.answer_id)] + selectors)]
     for sel, cause in zip(selectors, answer.causes):
         for a in sorted(cause):
             clauses.append(formula.add([-sel, formula.fact_var(a)]))
@@ -312,14 +312,6 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
 Target = Union[PotentialAnswer, frozenset, set, int]
 
 
-def effective_instance(instance: PrioritizedInstance,
-                       spec: EncodingSpec) -> PrioritizedInstance:
-    """The instance with its priorities dropped for plain subset repairs."""
-    if spec.repair == "s" and not instance.priority.is_empty():
-        return instance.with_priority(EMPTY_PRIORITY)
-    return instance
-
-
 def _scoped_block(formula: CnfFormula, instance: PrioritizedInstance,
                   spec: EncodingSpec, base_clauses: list[tuple[int, ...]],
                   ns: Optional[int]) -> None:
@@ -365,7 +357,6 @@ def build_multi_formula(instance: PrioritizedInstance, spec: EncodingSpec,
     core. An activator can be true only when the target's condition holds in
     the model, so maximizing true activators sweeps whole answer sets at once.
     """
-    instance = effective_instance(instance, spec)
     targets = list(targets)
     if not targets:
         raise ValueError("no targets to encode")
@@ -379,9 +370,9 @@ def build_multi_formula(instance: PrioritizedInstance, spec: EncodingSpec,
             for ans in targets:
                 if sem == "ar":
                     all_base += encode_neg_query(formula, instance, ans,
-                                                 spec.neg_variant, multi=True)
+                                                 spec.neg_variant)
                 else:
-                    all_base += encode_pos_query(formula, ans, multi=True)
+                    all_base += encode_pos_query(formula, ans)
             _scoped_block(formula, instance, spec, all_base, None)
         else:  # iar: per distinct cause, namespaced; guards per answer
             ns_of: dict[frozenset, int] = {}

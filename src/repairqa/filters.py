@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .encoding import (MAXIMALITY, SEMANTICS, CnfFormula, EncodingSpec,
-                       build_multi_formula, build_single_formula,
-                       effective_instance, max_variants)
+                       build_multi_formula, build_single_formula, max_variants)
 from .errors import BudgetExceededError, PairingError
-from .model import FactId, PotentialAnswer, PrioritizedInstance
+from .model import EMPTY_PRIORITY, FactId, PotentialAnswer, PrioritizedInstance
 from .sat import UNSAT, SolverSession, SolverStats, enumerate_mus, maximize_soft
 
 CLASS_TRIVIAL = "trivial"
@@ -143,23 +142,20 @@ def extract_trivial_answers(instance: PrioritizedInstance, repair: str = "p"
     return tuple(trivial), settled, instance.with_answers(kept)
 
 
-def preprocess(instance: PrioritizedInstance, spec: EncodingSpec
+def preprocess(instance: PrioritizedInstance, repair: str
                ) -> tuple[frozenset[FactId], tuple[str, ...], dict[str, bool],
                           PrioritizedInstance]:
-    """Drop self-inconsistent facts and settle what the grounded fixpoint
-    decides, for the instance as the spec's repair notion reads it.
+    """Derive the instance the encoders read for `repair`: drop the priority
+    for plain subset repairs, which ignore it, drop self-inconsistent facts,
+    and settle what the grounded fixpoint decides.
 
     Returns the removed facts, the trivial and settled answers, and the
     residual instance on which the strategies decide the remaining answers.
     """
-    # preprocessing reads the priority-dependent conflict graph too
-    instance = effective_instance(instance, spec)
-    if spec.max_variant not in max_variants(spec.repair, instance):
-        raise PairingError(
-            "pareto-style maximality stands in for completion repairs only "
-            "under score-structured priorities")
+    if repair == "s" and not instance.priority.is_empty():
+        instance = instance.with_priority(EMPTY_PRIORITY)
     cleaned, removed = remove_self_inconsistent(instance)
-    trivial, settled, remaining = extract_trivial_answers(cleaned, spec.repair)
+    trivial, settled, remaining = extract_trivial_answers(cleaned, repair)
     return removed, trivial, settled, remaining
 
 
@@ -222,15 +218,14 @@ def _sweep_activators(psi: CnfFormula, var_of: dict, one_round: bool,
     return observed
 
 
-def filter_simple(instance: PrioritizedInstance, spec: EncodingSpec, ctx: _Ctx) -> set[str]:
+def filter_simple(instance: PrioritizedInstance, spec: EncodingSpec, ctx: _Ctx) -> None:
     for ans in instance.answers:
         if _holds(instance, spec, ans, ctx):
             ctx.held.add(ans.answer_id)
-    return ctx.held
 
 
 def filter_all_maxsat(instance: PrioritizedInstance, spec: EncodingSpec,
-                      ctx: _Ctx) -> set[str]:
+                      ctx: _Ctx) -> None:
     """Sweep the answer activators of one shared formula.
 
     Under the intersection semantics one round suffices: each cause has its
@@ -245,11 +240,10 @@ def filter_all_maxsat(instance: PrioritizedInstance, spec: EncodingSpec,
         ctx.held |= observed
     else:
         ctx.held |= {a.answer_id for a in answers if a.answer_id not in observed}
-    return ctx.held
 
 
 def filter_all_muses(instance: PrioritizedInstance, spec: EncodingSpec,
-                     ctx: _Ctx) -> set[str]:
+                     ctx: _Ctx) -> None:
     """Singleton activator cores decide the verdicts outright."""
     answers = instance.answers
     psi = build_multi_formula(instance, spec, list(answers))
@@ -261,11 +255,10 @@ def filter_all_muses(instance: PrioritizedInstance, spec: EncodingSpec,
         ctx.held |= {a.answer_id for a in answers if a.answer_id not in blocked}
     else:
         ctx.held |= blocked
-    return ctx.held
 
 
 def filter_assumptions(instance: PrioritizedInstance, spec: EncodingSpec,
-                       ctx: _Ctx) -> set[str]:
+                       ctx: _Ctx) -> None:
     answers = instance.answers
     psi = build_multi_formula(instance, spec, list(answers))
     session = _session(psi, ctx)
@@ -273,19 +266,17 @@ def filter_assumptions(instance: PrioritizedInstance, spec: EncodingSpec,
         res = session.solve([psi.answer_var(ans.answer_id)])
         if _verdict_is_hold(spec, res.is_sat):
             ctx.held.add(ans.answer_id)
-    return ctx.held
 
 
 def filter_cause_by_cause(instance: PrioritizedInstance, spec: EncodingSpec,
-                          ctx: _Ctx) -> set[str]:
+                          ctx: _Ctx) -> None:
     for ans in instance.answers:
         if any(_holds(instance, spec, frozenset(cause), ctx) for cause in ans.causes):
             ctx.held.add(ans.answer_id)
-    return ctx.held
 
 
 def filter_iar_causes(instance: PrioritizedInstance, spec: EncodingSpec,
-                      ctx: _Ctx) -> set[str]:
+                      ctx: _Ctx) -> None:
     """Check causes fact by fact, caching per-fact verdicts across answers."""
     iar_facts: set[FactId] = set()
     non_iar: set[FactId] = set()
@@ -303,11 +294,10 @@ def filter_iar_causes(instance: PrioritizedInstance, spec: EncodingSpec,
                     break
             if all_iar:
                 ctx.held.add(ans.answer_id)
-    return ctx.held
 
 
 def filter_iar_facts(instance: PrioritizedInstance, spec: EncodingSpec,
-                     ctx: _Ctx) -> set[str]:
+                     ctx: _Ctx) -> None:
     """Classify whole fact batches per answer with the activator sweep."""
     iar_facts: set[FactId] = set()
     non_iar: set[FactId] = set()
@@ -326,7 +316,6 @@ def filter_iar_facts(instance: PrioritizedInstance, spec: EncodingSpec,
         if ans.answer_id not in ctx.held:
             if any(not (cause - iar_facts) for cause in ans.causes):
                 ctx.held.add(ans.answer_id)
-    return ctx.held
 
 
 # name -> (strategy, the semantics it computes)
@@ -357,8 +346,12 @@ def answer_query(request: FilterRequest) -> FilterReport:
     if not valid_pairing(spec.semantics, request.algorithm):
         raise PairingError(
             f"algorithm {request.algorithm!r} cannot compute {spec.semantics!r}")
+    if spec.max_variant not in max_variants(spec.repair, request.instance):
+        raise PairingError(
+            "pareto-style maximality stands in for completion repairs only "
+            "under score-structured priorities")
     t0 = time.perf_counter()
-    removed, trivial, settled, remaining = preprocess(request.instance, spec)
+    removed, trivial, settled, remaining = preprocess(request.instance, spec.repair)
     t1 = time.perf_counter()
 
     ctx = _Ctx(budget=request.conflict_budget)

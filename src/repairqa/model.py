@@ -352,7 +352,12 @@ def is_score_structured(conflicts: ConflictSet, priority: PriorityRelation) -> b
 
 @dataclass(frozen=True)
 class PrioritizedInstance:
-    """A knowledge base reduced to its conflict structure plus candidate answers."""
+    """A knowledge base reduced to its conflict structure plus candidate answers.
+
+    The constructor checks that every fact is declared. The priority is
+    validated where it enters, in `make_instance` and `with_priority`;
+    `with_answers` and `without_facts` only restrict a valid one.
+    """
 
     universe: tuple[FactId, ...]
     conflicts: ConflictSet
@@ -368,9 +373,6 @@ class PrioritizedInstance:
             stray = group - known
             if stray:
                 raise ValueError(f"facts {sorted(stray)} not declared in the universe")
-        violation = validate_priority(self.conflicts, self.priority)
-        if violation is not None:
-            raise ValueError(f"invalid priority relation, {violation}")
 
     def label(self, fact: FactId) -> str:
         return self.labels.get(fact, str(fact))
@@ -387,8 +389,8 @@ class PrioritizedInstance:
         return is_score_structured(self.conflicts, self.priority)
 
     def with_priority(self, priority: PriorityRelation) -> "PrioritizedInstance":
-        return PrioritizedInstance(self.universe, self.conflicts, priority,
-                                   self.answers, self.labels)
+        return _validated(PrioritizedInstance(self.universe, self.conflicts,
+                                              priority, self.answers, self.labels))
 
     def with_answers(self, answers: Sequence[PotentialAnswer]) -> "PrioritizedInstance":
         """Same conflicts and priority, so what is already derived from them
@@ -423,16 +425,23 @@ class PrioritizedInstance:
         return out
 
 
+def _validated(instance: PrioritizedInstance) -> PrioritizedInstance:
+    violation = validate_priority(instance.conflicts, instance.priority)
+    if violation is not None:
+        raise ValueError(f"invalid priority relation, {violation}")
+    return instance
+
+
 def make_instance(universe: Iterable[FactId],
                   conflict_pairs: Iterable[tuple[FactId, FactId]],
                   priority_edges: Iterable[tuple[FactId, FactId]] = (),
                   answers: Iterable[PotentialAnswer] = (),
                   self_inconsistent: Iterable[FactId] = (),
                   labels: Optional[Mapping[FactId, str]] = None) -> PrioritizedInstance:
-    return PrioritizedInstance(
+    return _validated(PrioritizedInstance(
         tuple(sorted(set(universe))),
         ConflictSet(conflict_pairs, self_inconsistent),
         PriorityRelation(priority_edges),
         tuple(answers),
         dict(labels or {}),
-    )
+    ))

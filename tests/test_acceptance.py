@@ -135,12 +135,8 @@ def test_criterion_3_score_structured_collapse():
 
 
 def _trivial_answers_for(inst, repair):
-    from repairqa.filters import extract_trivial_answers, remove_self_inconsistent
-    from repairqa.model import EMPTY_PRIORITY
-    work = inst.with_priority(EMPTY_PRIORITY) if repair == "s" else inst
-    cleaned, _ = remove_self_inconsistent(work)
-    trivial, _, _ = extract_trivial_answers(cleaned)
-    return set(trivial)
+    from repairqa.filters import preprocess
+    return set(preprocess(inst, repair)[1])
 
 
 def test_criterion_4_containment_chains():

@@ -74,27 +74,24 @@ class TestNegCause:
 
 
 class TestNegQuery:
-    def test_single_mode(self, ex1):
-        f = CnfFormula()
-        clauses = encode_neg_query(f, ex1, ex1.answers[0], 1)
-        assert [fact_clause(f, c) for c in clauses] == [
-            {(True, DELTA)}, {(True, ALPHA), (True, GAMMA)}]
-
     def test_multi_mode_adds_activator(self, ex1):
         f = CnfFormula()
-        clauses = encode_neg_query(f, ex1, ex1.answers[0], 1, multi=True)
+        clauses = encode_neg_query(f, ex1, ex1.answers[0], 1)
         activator = f.answer_var("q(a)")
-        for clause in clauses:
-            assert -activator in clause
+        assert all(clause[0] == -activator for clause in clauses)
+        assert [fact_clause(f, c[1:]) for c in clauses] == [
+            {(True, DELTA)}, {(True, ALPHA), (True, GAMMA)}]
 
     def test_contradictor_free_cause_gives_false_clause(self):
-        # a fact without conflicts cannot be blocked: empty clause, unsatisfiable
+        # a fact without conflicts cannot be blocked: under its activator the
+        # clause is empty, so the formula is unsatisfiable
         inst = make_instance([0, 1, 2], [(1, 2)],
                              answers=[make_answer("a", [[0]])])
         f = CnfFormula()
         clauses = encode_neg_query(f, inst, inst.answers[0], 1)
-        assert clauses == [()]
-        assert not solve_clauses(f.nvars, f.hard).is_sat
+        activator = f.answer_var("a")
+        assert clauses == [(-activator,)]
+        assert not solve_clauses(f.nvars, f.hard + [(activator,)]).is_sat
 
 
 class TestPosQuery:
@@ -103,7 +100,7 @@ class TestPosQuery:
         clauses = encode_pos_query(f, ex1.answers[0])
         sel0 = f.index[("causesel", "q(a)", 0)]
         sel1 = f.index[("causesel", "q(a)", 1)]
-        assert clauses[0] == (sel0, sel1)
+        assert clauses[0] == (-f.answer_var("q(a)"), sel0, sel1)
         assert clauses[1] == (-sel0, f.fact_var(ALPHA))
         assert clauses[2] == (-sel1, f.fact_var(BETA))
 
@@ -111,11 +108,11 @@ class TestPosQuery:
         ans = make_answer("a", [[4]])
         f = CnfFormula()
         clauses = encode_pos_query(f, ans)
-        assert len(clauses) == 2 and len(clauses[0]) == 1
+        assert len(clauses) == 2 and len(clauses[0]) == 2
 
     def test_multi_mode_adds_negated_answer(self, ex1):
         f = CnfFormula()
-        clauses = encode_pos_query(f, ex1.answers[0], multi=True)
+        clauses = encode_pos_query(f, ex1.answers[0])
         assert clauses[0][0] == -f.answer_var("q(a)")
 
     def test_forced_cause_stays_satisfiable_with_max(self, ex1):

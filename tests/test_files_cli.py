@@ -362,6 +362,18 @@ class TestGenInstance:
                      "--out-kb", str(tmp_path / "k.json"),
                      "--out-ans", str(tmp_path / "a.json")]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--answers", "-1"), ("--max-cause-size", "0"), ("--max-cause-size", "-2")])
+    def test_count_below_its_floor_exits_2(self, tmp_path, capsys, flag, value):
+        counts = {"--answers": "2", "--max-cause-size": "2", flag: value}
+        kb = tmp_path / "k.json"
+        assert main(["geninstance", "--facts", "4", "--conflicts", "1", "--seed", "0",
+                     *(arg for item in counts.items() for arg in item),
+                     "--out-kb", str(kb), "--out-ans", str(tmp_path / "a.json")]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and value in err
+        assert not kb.exists()
+
     def test_deterministic_output(self, tmp_path):
         files = []
         for tag in ("x", "y"):

@@ -207,7 +207,8 @@ class TestPipelineMechanics:
                     (sem, algo)
 
     def test_preprocess_refuses_p1_exactly_outside_max_variants(self, ex1):
-        # the fixture's priority is not score-structured, the settling one's is
+        # the fixture's priority is not score-structured, the settling one's
+        # is; the request check sits in answer_query, before preprocessing
         refused = set()
         for name, inst in (("ex1", ex1), ("score", _settling_instance())):
             for repair in REPAIRS:
@@ -218,7 +219,8 @@ class TestPipelineMechanics:
                         EncodingSpec("ar", repair, "p1")
                     continue
                 try:
-                    filters.preprocess(inst, EncodingSpec("ar", repair, "p1"))
+                    answer_query(FilterRequest(
+                        inst, EncodingSpec("ar", repair, "p1"), "simple"))
                 except PairingError:
                     refused.add((name, repair))
                 assert allowed == ((name, repair) not in refused), (name, repair)
@@ -330,6 +332,31 @@ class TestPipelineMechanics:
         report = run(_settling_instance(), "brave", "p", "simple")
         assert report.answers == {"trivial", "held", "open"}
         assert len(calls) == 1
+
+    def test_requests_validate_no_priority_again(self, monkeypatch):
+        # a priority is validated where it enters; what a request derives
+        # from a valid instance restricts it, so it is valid already
+        validate = model.validate_priority
+        checked = []
+
+        def counting(conflicts, priority):
+            checked.append(priority)
+            return validate(conflicts, priority)
+
+        instances = [verification_instance(i, 0, max_facts=8) for i in range(20)]
+        monkeypatch.setattr(model, "validate_priority", counting)
+        residues = 0
+        for inst in instances:
+            for combo in combos_for(inst):
+                spec = EncodingSpec(combo.semantics, combo.repair,
+                                    combo.max_variant, combo.neg_variant)
+                answer_query(FilterRequest(inst, spec, combo.algorithm))
+                residue = filters.preprocess(inst, combo.repair)[3]
+                residues += (not residue.priority.is_empty()
+                             and len(residue.universe) < len(inst.universe))
+        # some cells keep a priority on a residue that lost facts
+        assert residues
+        assert [p for p in checked if not p.is_empty()] == []
 
     def test_timings_reported(self, ex1):
         report = run(ex1, "iar", "c", "iarcauses")

@@ -240,3 +240,9 @@ def test_instance_rejects_dangling_answer_facts():
 def test_instance_rejects_invalid_priority():
     with pytest.raises(ValueError, match="invalid priority"):
         make_instance([0, 1, 2], [(0, 1)], [(1, 2)])
+
+
+def test_with_priority_rejects_a_cyclic_relation():
+    inst = make_instance([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="invalid priority"):
+        inst.with_priority(PriorityRelation([(0, 1), (1, 2), (2, 0)]))

@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -41,22 +42,37 @@ def run_counters() -> tuple:
     raise AssertionError("perfbench/run.py defines no COUNTERS")
 
 
-def test_every_wrapped_name_resolves_and_is_restored(ex1):
+def test_every_wrapped_name_resolves_and_is_restored(ex1, monkeypatch):
     tracer = load_perfbench("tracer")
     modules = {path.partition(".")[0] for path, _, _ in tracer.WRAPPED}
     rq = SimpleNamespace(**{m: importlib.import_module(f"repairqa.{m}")
                             for m in modules})
+    # count each name's calls under the tracer's wrappers
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for path, attr, _ in tracer.WRAPPED:
+        owner = tracer._owner(rq, path)
+        monkeypatch.setattr(owner, attr,
+                            counting(f"{path}.{attr}", owner.__dict__[attr]))
     originals = [tracer._owner(rq, path).__dict__[attr]
                  for path, attr, _ in tracer.WRAPPED]
-    spec = EncodingSpec("iar", "c", "c", 1)
     with tracer.Tracer(rq) as traced:
-        report = rq.filters.answer_query(FilterRequest(ex1, spec, "maxsat"))
+        for combo in combos_for(ex1):
+            spec = EncodingSpec(combo.semantics, combo.repair,
+                                combo.max_variant, combo.neg_variant)
+            rq.filters.answer_query(FilterRequest(ex1, spec, combo.algorithm))
         totals = traced.snapshot()
-    assert report.answers == {"q(a)"}
-    # the request runs through the wrapped names, not around them
-    for layer in ("filters.preprocess", "encoding.build", "encoding.max",
-                  "sat.solve", "sat.session"):
-        assert totals[layer][0] > 0, layer
+    # requests run through every wrapped name but the runner's oracle, so no
+    # per-layer metric reads a silent zero
+    assert sorted(f"{path}.{attr}" for path, attr, _ in tracer.WRAPPED
+                  if not calls[f"{path}.{attr}"]) == ["oracle.oracle_answers"]
+    assert [layer for layer, (n, _) in totals.items() if not n] == ["oracle"]
     assert [tracer._owner(rq, path).__dict__[attr]
             for path, attr, _ in tracer.WRAPPED] == originals
 
