@@ -74,13 +74,18 @@ class TestNegCause:
 
 
 class TestNegQuery:
+    def test_single_mode(self, ex1):
+        # past the activator guard, one block per cause of the single answer
+        f = CnfFormula()
+        clauses = encode_neg_query(f, ex1, ex1.answers[0], 1)
+        assert [fact_clause(f, c[1:]) for c in clauses] == [
+            {(True, DELTA)}, {(True, ALPHA), (True, GAMMA)}]
+
     def test_multi_mode_adds_activator(self, ex1):
         f = CnfFormula()
         clauses = encode_neg_query(f, ex1, ex1.answers[0], 1)
         activator = f.answer_var("q(a)")
         assert all(clause[0] == -activator for clause in clauses)
-        assert [fact_clause(f, c[1:]) for c in clauses] == [
-            {(True, DELTA)}, {(True, ALPHA), (True, GAMMA)}]
 
     def test_contradictor_free_cause_gives_false_clause(self):
         # a fact without conflicts cannot be blocked: under its activator the
