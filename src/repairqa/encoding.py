@@ -356,7 +356,11 @@ def build_multi_formula(instance: PrioritizedInstance, spec: EncodingSpec,
     that callers may treat it as a soft clause, an assumption, or a candidate
     core. An activator can be true only when the target's condition holds in
     the model, so maximizing true activators sweeps whole answer sets at once.
+    Subset repairs ignore the priority, so an "s" formula takes an instance
+    without one, as `filters.preprocess` derives it.
     """
+    if spec.repair == "s" and not instance.priority.is_empty():
+        raise ValueError("subset repairs take an instance without a priority")
     targets = list(targets)
     if not targets:
         raise ValueError("no targets to encode")
@@ -381,9 +385,7 @@ def build_multi_formula(instance: PrioritizedInstance, spec: EncodingSpec,
                 for cause in ans.causes:
                     key = frozenset(cause)
                     first_time = key not in ns_of
-                    if first_time:
-                        ns_of[key] = len(ns_of)
-                    ns = ns_of[key]
+                    ns = ns_of.setdefault(key, len(ns_of))
                     base = encode_neg_cause(formula, instance, cause,
                                             spec.neg_variant,
                                             activator=activator, ns=ns)
@@ -421,14 +423,10 @@ def _render_key(key: VarKey) -> str:
         return f"assume_fact({key[1]})"
     if tag == "causesel":
         return f"cause_sel({key[1]},{key[2]})"
-    if tag == "pref":
-        ns, src, dst = key[1], key[2], key[3]
-        base = f"pref_in({src}->{dst})"
-    elif tag == "trans":
-        ns, src, dst = key[1], key[2], key[3]
-        base = f"reaches({src},{dst})"
-    else:
+    if tag not in ("pref", "trans"):
         return repr(key)
+    ns, src, dst = key[1:]
+    base = f"pref_in({src}->{dst})" if tag == "pref" else f"reaches({src},{dst})"
     return base if ns is None else f"{base}@cause{ns}"
 
 

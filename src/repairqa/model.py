@@ -354,10 +354,7 @@ def is_score_structured(conflicts: ConflictSet, priority: PriorityRelation) -> b
 class PrioritizedInstance:
     """A knowledge base reduced to its conflict structure plus candidate answers.
 
-    The constructor checks that every fact is declared. The priority is
-    validated where it enters, in `make_instance` and `with_priority`;
-    `with_answers` and `without_facts` only restrict a valid one.
-    """
+    The constructor validates the priority; its restrictions do not again."""
 
     universe: tuple[FactId, ...]
     conflicts: ConflictSet
@@ -366,6 +363,12 @@ class PrioritizedInstance:
     labels: Mapping[FactId, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        self._check_facts()
+        violation = validate_priority(self.conflicts, self.priority)
+        if violation is not None:
+            raise ValueError(f"invalid priority relation, {violation}")
+
+    def _check_facts(self) -> None:
         known = set(self.universe)
         if len(known) != len(self.universe):
             raise ValueError("duplicate fact ids in universe")
@@ -373,6 +376,15 @@ class PrioritizedInstance:
             stray = group - known
             if stray:
                 raise ValueError(f"facts {sorted(stray)} not declared in the universe")
+
+    def _restricted(self, universe, conflicts, priority, answers) -> "PrioritizedInstance":
+        """This instance on part of its facts, conflicts and priority edges; a
+        restriction of a valid priority is valid, so only facts are checked."""
+        out = object.__new__(PrioritizedInstance)
+        out.__dict__.update(universe=universe, conflicts=conflicts, priority=priority,
+                            answers=tuple(answers), labels=self.labels)
+        out._check_facts()
+        return out
 
     def label(self, fact: FactId) -> str:
         return self.labels.get(fact, str(fact))
@@ -389,14 +401,14 @@ class PrioritizedInstance:
         return is_score_structured(self.conflicts, self.priority)
 
     def with_priority(self, priority: PriorityRelation) -> "PrioritizedInstance":
-        return _validated(PrioritizedInstance(self.universe, self.conflicts,
-                                              priority, self.answers, self.labels))
+        return PrioritizedInstance(self.universe, self.conflicts, priority,
+                                   self.answers, self.labels)
 
     def with_answers(self, answers: Sequence[PotentialAnswer]) -> "PrioritizedInstance":
         """Same conflicts and priority, so what is already derived from them
         carries over."""
-        out = PrioritizedInstance(self.universe, self.conflicts, self.priority,
-                                  tuple(answers), self.labels)
+        out = self._restricted(self.universe, self.conflicts, self.priority,
+                               answers)
         for derived in ("_dcg", "score_structured"):
             if derived in self.__dict__:
                 out.__dict__[derived] = self.__dict__[derived]
@@ -413,10 +425,9 @@ class PrioritizedInstance:
             return pair[0] not in drop and pair[1] not in drop
         conflicts = ConflictSet(filter(kept, self.conflicts.pairs),
                                 self.conflicts.self_inconsistent - drop)
-        out = PrioritizedInstance(
+        out = self._restricted(
             tuple(f for f in self.universe if f not in drop), conflicts,
-            PriorityRelation(filter(kept, self.priority.edges)), tuple(answers),
-            self.labels)
+            PriorityRelation(filter(kept, self.priority.edges)), answers)
         if "_dcg" in self.__dict__:
             bad = conflicts.self_inconsistent
             out.__dict__["_dcg"] = DirectedConflictGraph({
@@ -425,23 +436,16 @@ class PrioritizedInstance:
         return out
 
 
-def _validated(instance: PrioritizedInstance) -> PrioritizedInstance:
-    violation = validate_priority(instance.conflicts, instance.priority)
-    if violation is not None:
-        raise ValueError(f"invalid priority relation, {violation}")
-    return instance
-
-
 def make_instance(universe: Iterable[FactId],
                   conflict_pairs: Iterable[tuple[FactId, FactId]],
                   priority_edges: Iterable[tuple[FactId, FactId]] = (),
                   answers: Iterable[PotentialAnswer] = (),
                   self_inconsistent: Iterable[FactId] = (),
                   labels: Optional[Mapping[FactId, str]] = None) -> PrioritizedInstance:
-    return _validated(PrioritizedInstance(
+    return PrioritizedInstance(
         tuple(sorted(set(universe))),
         ConflictSet(conflict_pairs, self_inconsistent),
         PriorityRelation(priority_edges),
         tuple(answers),
         dict(labels or {}),
-    ))
+    )

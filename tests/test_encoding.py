@@ -7,7 +7,8 @@ from repairqa.encoding import (CnfFormula, EncodingSpec, build_multi_formula,
 from repairqa.errors import CapacityError
 from repairqa.filters import remove_self_inconsistent
 from repairqa.generate import priority_for_mode, random_instance
-from repairqa.model import make_answer, make_instance, reachable_minus_set
+from repairqa.model import (PriorityRelation, make_answer, make_instance,
+                            reachable_minus_set)
 from repairqa.oracle import enumerate_completion_repairs, enumerate_pareto_repairs
 from repairqa.sat import solve_clauses
 
@@ -259,6 +260,17 @@ class TestMultiFormulas:
         spec = EncodingSpec("iar", "p", "p1", 1)
         with pytest.raises(ValueError):
             build_multi_formula(ex1, spec, [])
+
+    def test_subset_repairs_refuse_a_prioritized_instance(self, ex1):
+        # preprocessing drops the priority for s; an encoder handed one would
+        # miss the contradictors the priority makes dominated
+        spec = EncodingSpec("ar", "s", "s", 1)
+        with pytest.raises(ValueError, match="without a priority"):
+            build_multi_formula(ex1, spec, list(ex1.answers))
+        with pytest.raises(ValueError, match="without a priority"):
+            build_single_formula(ex1, spec, ex1.answers[0])
+        plain = ex1.with_priority(PriorityRelation(()))
+        assert build_multi_formula(plain, spec, list(plain.answers)).hard
 
 
 class TestDimacs:

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repairqa.model import (ConflictSet, PriorityRelation, build_random_priority,
+from repairqa.model import (ConflictSet, PrioritizedInstance, PriorityRelation,
+                            build_random_priority,
                             build_score_priority, directed_conflict_graph,
                             is_score_structured, make_answer, make_instance,
                             reachable_minus_set, reachable_set, validate_priority)
@@ -246,3 +247,20 @@ def test_with_priority_rejects_a_cyclic_relation():
     inst = make_instance([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ValueError, match="invalid priority"):
         inst.with_priority(PriorityRelation([(0, 1), (1, 2), (2, 0)]))
+
+
+def test_constructor_rejects_a_cyclic_relation():
+    cs = conflicts((0, 1), (1, 2), (0, 2))
+    with pytest.raises(ValueError, match="invalid priority"):
+        PrioritizedInstance((0, 1, 2), cs,
+                            PriorityRelation([(0, 1), (1, 2), (2, 0)]), ())
+
+
+def test_restrictions_check_their_facts(ex1):
+    kept = ex1.without_facts(frozenset({GAMMA}), ())
+    assert kept.universe == (ALPHA, BETA, DELTA)
+    assert kept.priority.sorted_edges() == [(ALPHA, BETA)]
+    with pytest.raises(ValueError, match="not declared"):
+        ex1.without_facts(frozenset({GAMMA}), [make_answer("a", [[GAMMA]])])
+    with pytest.raises(ValueError, match="not declared"):
+        ex1.with_answers([make_answer("a", [[7]])])

@@ -62,11 +62,16 @@ def test_every_wrapped_name_resolves_and_is_restored(ex1, monkeypatch):
                             counting(f"{path}.{attr}", owner.__dict__[attr]))
     originals = [tracer._owner(rq, path).__dict__[attr]
                  for path, attr, _ in tracer.WRAPPED]
+    # the expected answers come first, so the traced oracle layer stays empty
+    cells = [(EncodingSpec(combo.semantics, combo.repair, combo.max_variant,
+                           combo.neg_variant), combo.algorithm,
+              oracle_answers(ex1, combo.semantics, combo.repair).answers)
+             for combo in combos_for(ex1)]
     with tracer.Tracer(rq) as traced:
-        for combo in combos_for(ex1):
-            spec = EncodingSpec(combo.semantics, combo.repair,
-                                combo.max_variant, combo.neg_variant)
-            rq.filters.answer_query(FilterRequest(ex1, spec, combo.algorithm))
+        # the wrappers pass each request's answers through
+        for spec, algorithm, want in cells:
+            report = rq.filters.answer_query(FilterRequest(ex1, spec, algorithm))
+            assert report.answers == want, (spec, algorithm)
         totals = traced.snapshot()
     # requests run through every wrapped name but the runner's oracle, so no
     # per-layer metric reads a silent zero
