@@ -84,14 +84,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_genpriority(args) -> int:
-    if args.ans:
-        instance = load_instance(args.kb, args.ans)
-    else:
-        # answers are irrelevant for priorities; accept a kb alone
-        from .files import _load_json, parse_instance
-        kb_doc = _load_json(args.kb)
-        instance = parse_instance(kb_doc, {"query": "q", "answers": []},
-                                  source=args.kb)
+    instance = load_instance(args.kb, args.ans)
     if args.mode == "score":
         if args.levels is None:
             print("error: --mode score requires --levels", file=sys.stderr)
@@ -134,7 +127,7 @@ def cmd_geninstance(args) -> int:
         return EXIT_BAD_COMBINATION
     if args.priority_mode != "none":
         priority = priority_for_mode(instance, args.priority_mode, args.seed,
-                                     levels=args.levels or 2, p=args.p or 0.5)
+                                     levels=args.levels, p=args.p)
         instance = instance.with_priority(priority)
     save_instance(instance, args.out_kb, args.out_ans)
     return EXIT_OK
@@ -247,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of self-inconsistent facts")
     p_gi.add_argument("--priority-mode", choices=("none", "score", "random"),
                       default="none")
-    p_gi.add_argument("--levels", type=int, default=None)
-    p_gi.add_argument("--p", type=float, default=None)
+    p_gi.add_argument("--levels", type=int, default=2)
+    p_gi.add_argument("--p", type=float, default=0.5)
     p_gi.add_argument("--out-kb", required=True)
     p_gi.add_argument("--out-ans", required=True)
     p_gi.set_defaults(func=cmd_geninstance)

@@ -4,16 +4,17 @@ Builds CNF formulas whose models correspond to partial fact selections
 extendable to an optimal repair, combined with clauses that force or block
 query supports. Two blocking-clause variants are supported, three maximality
 encodings (plus the trivial one for plain subset repairs), and one assembler:
-every target gets an activator literal, and a single-target formula is the
-one-target formula with its activator asserted. An `EncodingSpec` carries
-every setting the assembler reads. The encoders read the instance they are
-given; `filters.preprocess` derives it for the repair notion.
+every answer gets an activator literal, and a single-answer formula is the
+one-answer formula with its activator asserted. A cause or a fact is asked
+as a one-cause answer. An `EncodingSpec` carries every setting the assembler
+reads. The encoders read the instance they are given; `filters.preprocess`
+derives it for the repair notion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError
 from .model import (FactId, PotentialAnswer, PrioritizedInstance,
@@ -95,9 +96,6 @@ class CnfFormula:
     def answer_var(self, answer_id: str) -> int:
         return self.var(("answer", answer_id))
 
-    def assume_var(self, fact: FactId) -> int:
-        return self.var(("assume", fact))
-
     def key_of(self, var: int) -> VarKey:
         return self.keys[var - 1]
 
@@ -138,16 +136,14 @@ def _sorted_out(instance: PrioritizedInstance, fact: FactId) -> list[FactId]:
 
 
 def encode_neg_cause(formula: CnfFormula, instance: PrioritizedInstance,
-                     cause: Iterable[FactId], variant: int,
-                     activator: Optional[VarKey] = None,
+                     cause: Iterable[FactId], variant: int, activator: VarKey,
                      ns: Optional[int] = None) -> list[tuple[int, ...]]:
     """Clauses stating that the cause does not survive in the selected repair.
 
     Variant 1 emits a single clause of non-dominated contradictors; variant 2
-    additionally justifies each cause fact individually. When an activator key
-    is given its negation guards the (first) clause. A cause with no
-    contradictor at all yields an unguarded empty clause: the formula becomes
-    unsatisfiable, which callers read as "the cause always survives".
+    additionally justifies each cause fact individually. The activator's
+    negation guards the (first) clause, so a cause with no contradictor at
+    all leaves the activator false in every model: the cause always survives.
     """
     cause = sorted(set(cause))
     bad = set(cause) & instance.conflicts.self_inconsistent
@@ -155,9 +151,9 @@ def encode_neg_cause(formula: CnfFormula, instance: PrioritizedInstance,
         raise ValueError(f"cause contains self-inconsistent facts {sorted(bad)}; "
                          "preprocess the instance first")
     clauses = []
-    guard = [-formula.var(activator)] if activator is not None else []
+    guard = -formula.var(activator)
     if variant == 1:
-        lits = list(guard)
+        lits = [guard]
         seen = set()
         for a in cause:
             for b in _sorted_out(instance, a):
@@ -167,7 +163,7 @@ def encode_neg_cause(formula: CnfFormula, instance: PrioritizedInstance,
                     lits.append(v)
         clauses.append(formula.add(lits))
     else:
-        first = list(guard) + [-formula.fact_var(a, ns) for a in cause]
+        first = [guard] + [-formula.fact_var(a, ns) for a in cause]
         clauses.append(formula.add(first))
         for a in cause:
             clauses.append(formula.add(
@@ -309,9 +305,6 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
 # ----------------------------------------------------------------------
 # formula assembly
 
-Target = Union[PotentialAnswer, frozenset, set, int]
-
-
 def _scoped_block(formula: CnfFormula, instance: PrioritizedInstance,
                   spec: EncodingSpec, base_clauses: list[tuple[int, ...]],
                   ns: Optional[int]) -> None:
@@ -324,87 +317,59 @@ def _scoped_block(formula: CnfFormula, instance: PrioritizedInstance,
 
 
 def build_single_formula(instance: PrioritizedInstance, spec: EncodingSpec,
-                         target: Target) -> CnfFormula:
-    """Formula deciding one answer, cause, or fact under the chosen semantics.
+                         answer: PotentialAnswer) -> CnfFormula:
+    """Formula deciding one answer under the chosen semantics.
 
-    It is the one-target multi formula with the target's activator asserted,
+    It is the one-answer multi formula with the answer's activator asserted,
     so satisfiability answers the query: a "brave" formula is satisfiable iff
-    the target holds in some optimal repair; an "ar"/"iar" formula is
-    unsatisfiable iff the target holds in every optimal repair (respectively
+    the answer holds in some optimal repair; an "ar"/"iar" formula is
+    unsatisfiable iff the answer holds in every optimal repair (respectively
     their intersection).
     """
-    if not isinstance(target, (PotentialAnswer, set, frozenset, int)):
-        raise TypeError(f"unsupported target {target!r}")
-    if spec.semantics == "ar" and not isinstance(target, PotentialAnswer):
-        raise ValueError("ar formulas take a whole answer as target")
-    if spec.semantics == "brave" and isinstance(target, int):
-        raise ValueError("brave formulas take an answer or a cause as target")
-    if isinstance(target, (set, frozenset)):
-        target = PotentialAnswer("cause", (frozenset(target),))
-    formula = build_multi_formula(instance, spec, [target])
+    formula = build_multi_formula(instance, spec, [answer])
     formula.add(formula.soft_units)
     formula.soft_units.clear()
     return formula
 
 
 def build_multi_formula(instance: PrioritizedInstance, spec: EncodingSpec,
-                        targets: Union[Sequence[PotentialAnswer], Iterable[FactId]]
-                        ) -> CnfFormula:
-    """One formula covering many answers (or, for "iar", many single facts).
+                        answers: Sequence[PotentialAnswer]) -> CnfFormula:
+    """One formula covering many answers.
 
-    Each target gets an activator variable, emitted as a unit soft literal so
+    Each answer gets an activator variable, emitted as a unit soft literal so
     that callers may treat it as a soft clause, an assumption, or a candidate
-    core. An activator can be true only when the target's condition holds in
+    core. An activator can be true only when the answer's condition holds in
     the model, so maximizing true activators sweeps whole answer sets at once.
     Subset repairs ignore the priority, so an "s" formula takes an instance
     without one, as `filters.preprocess` derives it.
     """
     if spec.repair == "s" and not instance.priority.is_empty():
         raise ValueError("subset repairs take an instance without a priority")
-    targets = list(targets)
-    if not targets:
-        raise ValueError("no targets to encode")
+    if not answers:
+        raise ValueError("no answers to encode")
     formula = CnfFormula()
-    answer_mode = isinstance(targets[0], PotentialAnswer)
-
-    if answer_mode:
-        sem = spec.semantics
-        if sem in ("ar", "brave"):
-            all_base: list[tuple[int, ...]] = []
-            for ans in targets:
-                if sem == "ar":
-                    all_base += encode_neg_query(formula, instance, ans,
-                                                 spec.neg_variant)
-                else:
-                    all_base += encode_pos_query(formula, ans)
-            _scoped_block(formula, instance, spec, all_base, None)
-        else:  # iar: per distinct cause, namespaced; guards per answer
-            ns_of: dict[frozenset, int] = {}
-            for ans in targets:
-                activator = ("answer", ans.answer_id)
-                for cause in ans.causes:
-                    key = frozenset(cause)
-                    first_time = key not in ns_of
-                    ns = ns_of.setdefault(key, len(ns_of))
-                    base = encode_neg_cause(formula, instance, cause,
-                                            spec.neg_variant,
-                                            activator=activator, ns=ns)
-                    if first_time:
-                        _scoped_block(formula, instance, spec, base, ns)
-        for ans in targets:
-            formula.add_soft_unit(formula.answer_var(ans.answer_id))
-    else:
-        if spec.semantics != "iar":
-            raise ValueError("fact-set targets only make sense for iar")
-        rel = sorted(set(targets))
-        all_base = []
-        for fact in rel:
-            all_base += encode_neg_cause(formula, instance, {fact},
-                                         spec.neg_variant,
-                                         activator=("assume", fact))
+    if spec.semantics in ("ar", "brave"):
+        all_base: list[tuple[int, ...]] = []
+        for ans in answers:
+            if spec.semantics == "ar":
+                all_base += encode_neg_query(formula, instance, ans, spec.neg_variant)
+            else:
+                all_base += encode_pos_query(formula, ans)
         _scoped_block(formula, instance, spec, all_base, None)
-        for fact in rel:
-            formula.add_soft_unit(formula.assume_var(fact))
+    else:  # iar: per distinct cause, namespaced; guards per answer
+        ns_of: dict[frozenset, int] = {}
+        for ans in answers:
+            activator = ("answer", ans.answer_id)
+            for cause in ans.causes:
+                key = frozenset(cause)
+                first_time = key not in ns_of
+                ns = ns_of.setdefault(key, len(ns_of))
+                base = encode_neg_cause(formula, instance, cause, spec.neg_variant,
+                                        activator=activator, ns=ns)
+                if first_time:
+                    _scoped_block(formula, instance, spec, base, ns)
+    for ans in answers:
+        formula.add_soft_unit(formula.answer_var(ans.answer_id))
     return formula
 
 
@@ -419,8 +384,6 @@ def _render_key(key: VarKey) -> str:
         return f"fact({fact})" if ns is None else f"fact({fact})@cause{ns}"
     if tag == "answer":
         return f"answer({key[1]})"
-    if tag == "assume":
-        return f"assume_fact({key[1]})"
     if tag == "causesel":
         return f"cause_sel({key[1]},{key[2]})"
     if tag not in ("pref", "trans"):

@@ -127,9 +127,11 @@ def parse_instance(kb_doc, answers_doc, source: str = "<input>",
         raise InputError(f"{source}: {err}") from None
 
 
-def load_instance(kb_path: str, answers_path: str) -> PrioritizedInstance:
+def load_instance(kb_path: str, answers_path: Optional[str] = None
+                  ) -> PrioritizedInstance:
+    """Read both files; without an answers file the instance has no answers."""
     kb_doc = _load_json(kb_path)
-    answers_doc = _load_json(answers_path)
+    answers_doc = _load_json(answers_path) if answers_path else {"answers": []}
     return parse_instance(kb_doc, answers_doc, source=kb_path,
                           answers_source=answers_path)
 

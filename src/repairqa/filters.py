@@ -15,13 +15,14 @@ the semantics each computes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .encoding import (MAXIMALITY, SEMANTICS, CnfFormula, EncodingSpec,
                        build_multi_formula, build_single_formula, max_variants)
 from .errors import BudgetExceededError, PairingError
-from .model import EMPTY_PRIORITY, FactId, PotentialAnswer, PrioritizedInstance
+from .model import (EMPTY_PRIORITY, FactId, PotentialAnswer, PrioritizedInstance,
+                    make_answer)
 from .sat import UNSAT, SolverSession, SolverStats, enumerate_mus, maximize_soft
 
 CLASS_TRIVIAL = "trivial"
@@ -185,9 +186,9 @@ def _session(psi: CnfFormula, ctx: _Ctx) -> SolverSession:
     return session
 
 
-def _holds(instance, spec, target, ctx) -> bool:
-    """Decide one answer, cause or fact with a formula of its own."""
-    psi = build_single_formula(instance, spec, target)
+def _holds(instance, spec, answer, ctx) -> bool:
+    """Decide one answer with a formula of its own."""
+    psi = build_single_formula(instance, spec, answer)
     return _verdict_is_hold(spec, _session(psi, ctx).solve().is_sat)
 
 
@@ -236,10 +237,7 @@ def filter_all_maxsat(instance: PrioritizedInstance, spec: EncodingSpec,
     psi = build_multi_formula(instance, spec, list(answers))
     var_of = {a.answer_id: psi.answer_var(a.answer_id) for a in answers}
     observed = _sweep_activators(psi, var_of, spec.semantics == "iar", ctx)
-    if spec.semantics == "brave":
-        ctx.held |= observed
-    else:
-        ctx.held |= {a.answer_id for a in answers if a.answer_id not in observed}
+    ctx.held |= {aid for aid in var_of if _verdict_is_hold(spec, aid in observed)}
 
 
 def filter_all_muses(instance: PrioritizedInstance, spec: EncodingSpec,
@@ -248,13 +246,9 @@ def filter_all_muses(instance: PrioritizedInstance, spec: EncodingSpec,
     answers = instance.answers
     psi = build_multi_formula(instance, spec, list(answers))
     muses = enumerate_mus(_session(psi, ctx), psi.soft_units)
-    single_vars = {next(iter(s)) for s in muses if len(s) == 1}
-    blocked = {a.answer_id for a in answers
-               if psi.answer_var(a.answer_id) in single_vars}
-    if spec.semantics == "brave":
-        ctx.held |= {a.answer_id for a in answers if a.answer_id not in blocked}
-    else:
-        ctx.held |= blocked
+    unsat_alone = {next(iter(s)) for s in muses if len(s) == 1}
+    ctx.held |= {a.answer_id for a in answers
+                 if _verdict_is_hold(spec, psi.answer_var(a.answer_id) not in unsat_alone)}
 
 
 def filter_assumptions(instance: PrioritizedInstance, spec: EncodingSpec,
@@ -271,7 +265,8 @@ def filter_assumptions(instance: PrioritizedInstance, spec: EncodingSpec,
 def filter_cause_by_cause(instance: PrioritizedInstance, spec: EncodingSpec,
                           ctx: _Ctx) -> None:
     for ans in instance.answers:
-        if any(_holds(instance, spec, frozenset(cause), ctx) for cause in ans.causes):
+        if any(_holds(instance, spec, make_answer(ans.answer_id, [cause]), ctx)
+               for cause in ans.causes):
             ctx.held.add(ans.answer_id)
 
 
@@ -286,7 +281,7 @@ def filter_iar_causes(instance: PrioritizedInstance, spec: EncodingSpec,
                 continue
             all_iar = True
             for fact in sorted(cause - iar_facts):
-                if _holds(instance, spec, fact, ctx):
+                if _holds(instance, spec, make_answer(str(fact), [[fact]]), ctx):
                     iar_facts.add(fact)
                 else:
                     non_iar.add(fact)
@@ -298,7 +293,13 @@ def filter_iar_causes(instance: PrioritizedInstance, spec: EncodingSpec,
 
 def filter_iar_facts(instance: PrioritizedInstance, spec: EncodingSpec,
                      ctx: _Ctx) -> None:
-    """Classify whole fact batches per answer with the activator sweep."""
+    """Classify whole fact batches per answer with the activator sweep.
+
+    A fact lies in the intersection of the optimal repairs iff it lies in
+    every one of them, so each batch is one "ar" formula over one-fact
+    answers.
+    """
+    fact_spec = replace(spec, semantics="ar")
     iar_facts: set[FactId] = set()
     non_iar: set[FactId] = set()
     for ans in instance.answers:
@@ -308,8 +309,10 @@ def filter_iar_facts(instance: PrioritizedInstance, spec: EncodingSpec,
         relevant -= iar_facts
         relevant -= non_iar
         if relevant:
-            psi = build_multi_formula(instance, spec, sorted(relevant))
-            var_of = {f: psi.assume_var(f) for f in sorted(relevant)}
+            facts = sorted(relevant)
+            psi = build_multi_formula(instance, fact_spec,
+                                      [make_answer(str(f), [[f]]) for f in facts])
+            var_of = {f: psi.answer_var(str(f)) for f in facts}
             new_non = _sweep_activators(psi, var_of, False, ctx)
             iar_facts |= relevant - new_non
             non_iar |= new_non

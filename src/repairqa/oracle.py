@@ -75,12 +75,12 @@ def _maximal_independent_sets(nodes, adj):
     return found
 
 
-def enumerate_repairs(instance: PrioritizedInstance,
-                      fact_cap: int = DEFAULT_FACT_CAP) -> RepairFamily:
+def enumerate_repairs(instance: PrioritizedInstance) -> RepairFamily:
     """All inclusion-maximal conflict-free fact sets."""
     nodes, _pairs, adj, free = _core(instance)
-    if len(nodes) > fact_cap:
-        raise CapacityError(f"{len(nodes)} conflicting facts exceed the cap {fact_cap}")
+    if len(nodes) > DEFAULT_FACT_CAP:
+        raise CapacityError(
+            f"{len(nodes)} conflicting facts exceed the cap {DEFAULT_FACT_CAP}")
     if not nodes:
         return RepairFamily("s", (frozenset(free),))
     repairs = sorted({mis | free for mis in _maximal_independent_sets(nodes, adj)},
@@ -120,14 +120,13 @@ def _beats_via_full_definition(instance, repair, nodes, adj) -> bool:
     return False
 
 
-def enumerate_pareto_repairs(instance: PrioritizedInstance,
-                             fact_cap: int = DEFAULT_FACT_CAP) -> RepairFamily:
+def enumerate_pareto_repairs(instance: PrioritizedInstance) -> RepairFamily:
     """Repairs no single preferred fact can improve upon.
 
     On small instances the result is re-checked against the literal
     improvement definition quantifying over all consistent sets.
     """
-    base = enumerate_repairs(instance, fact_cap)
+    base = enumerate_repairs(instance)
     nodes, _pairs, adj, _free = _core(instance)
     node_list = sorted(nodes)
     keep = []
@@ -157,8 +156,7 @@ def _unique_repair_for_total_order(nodes, adj, pred, free):
     return frozenset(repair)
 
 
-def enumerate_completion_repairs(instance: PrioritizedInstance,
-                                 pair_cap: int = DEFAULT_PAIR_CAP) -> RepairFamily:
+def enumerate_completion_repairs(instance: PrioritizedInstance) -> RepairFamily:
     """Repairs optimal under some acyclic total orientation of the conflicts.
 
     Enumerates every acyclic completion of the priority relation over the
@@ -171,9 +169,9 @@ def enumerate_completion_repairs(instance: PrioritizedInstance,
             [(b, a) for a, b in pairs if prefers(b, a)]
     open_pairs = [(a, b) for a, b in pairs
                   if not prefers(a, b) and not prefers(b, a)]
-    if len(open_pairs) > pair_cap:
-        raise CapacityError(
-            f"{len(open_pairs)} unoriented conflict pairs exceed the cap {pair_cap}")
+    if len(open_pairs) > DEFAULT_PAIR_CAP:
+        raise CapacityError(f"{len(open_pairs)} unoriented conflict pairs exceed "
+                            f"the cap {DEFAULT_PAIR_CAP}")
 
     succ = {v: set() for v in nodes}
     pred = {v: set() for v in nodes}
@@ -222,15 +220,13 @@ def enumerate_completion_repairs(instance: PrioritizedInstance,
                         completion_count=count)
 
 
-def repair_family(instance: PrioritizedInstance, repair_type: str,
-                  fact_cap: int = DEFAULT_FACT_CAP,
-                  pair_cap: int = DEFAULT_PAIR_CAP) -> RepairFamily:
+def repair_family(instance: PrioritizedInstance, repair_type: str) -> RepairFamily:
     if repair_type == "s":
-        return enumerate_repairs(instance, fact_cap)
+        return enumerate_repairs(instance)
     if repair_type == "p":
-        return enumerate_pareto_repairs(instance, fact_cap)
+        return enumerate_pareto_repairs(instance)
     if repair_type == "c":
-        return enumerate_completion_repairs(instance, pair_cap)
+        return enumerate_completion_repairs(instance)
     raise ValueError(f"unknown repair type {repair_type!r}")
 
 
@@ -240,12 +236,10 @@ class OracleAnswers:
     intersection: Optional[frozenset[FactId]] = None
 
 
-def oracle_answers(instance: PrioritizedInstance, semantics: str, repair_type: str,
-                   fact_cap: int = DEFAULT_FACT_CAP,
-                   pair_cap: int = DEFAULT_PAIR_CAP) -> OracleAnswers:
+def oracle_answers(instance: PrioritizedInstance, semantics: str,
+                   repair_type: str) -> OracleAnswers:
     """Evaluate a semantics directly over the enumerated repair family."""
-    return family_answers(instance, repair_family(instance, repair_type,
-                                                  fact_cap, pair_cap), semantics)
+    return family_answers(instance, repair_family(instance, repair_type), semantics)
 
 
 def family_answers(instance: PrioritizedInstance, family: RepairFamily,

@@ -8,6 +8,7 @@ disagreement is reported with the instance spelled out in full.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -132,8 +133,8 @@ def check_instance(instance: PrioritizedInstance, trial: int = 0,
 
 
 def _worker(args) -> tuple[int, int, list[Mismatch]]:
-    trial, seed, max_facts, max_conflicts, mutate, budget, is_example = args
-    instance = example_instance() if is_example else \
+    trial, seed, max_facts, max_conflicts, mutate, budget = args
+    instance = example_instance() if trial == 0 else \
         verification_instance(trial, seed, max_facts=max_facts,
                               max_conflicts=max_conflicts)
     return check_instance(instance, trial, mutate, budget)
@@ -142,16 +143,18 @@ def _worker(args) -> tuple[int, int, list[Mismatch]]:
 def run_verification(trials: int, max_facts: int = 8, seed: int = 0,
                      mutate: Optional[str] = None,
                      conflict_budget: Optional[int] = None,
-                     include_example: bool = True,
                      jobs: int = 1, max_conflicts: int = 12) -> VerifyOutcome:
-    """Run the agreement suite over the fixture plus seeded random instances,
-    stopping at the first trial with a mismatch."""
+    """Run the agreement suite over the fixture (trial 0) plus seeded random
+    instances, stopping at the first trial with a mismatch. With `jobs` above
+    1 the trials run in a process pool of at most `jobs` workers, and never
+    more workers than trials or CPUs."""
     if mutate not in (None, "drop-acyc"):
         raise ValueError(f"unknown mutation {mutate!r}")
-    tasks = [(i, seed, max_facts, max_conflicts, mutate, conflict_budget,
-              include_example and i == 0) for i in range(trials)]
+    tasks = [(i, seed, max_facts, max_conflicts, mutate, conflict_budget)
+             for i in range(trials)]
+    workers = max(1, min(jobs, trials, os.cpu_count() or 1))
     outcome = VerifyOutcome()
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext() as pool:
         results = pool.map(_worker, tasks) if pool else map(_worker, tasks)
         for checked, skipped, mismatches in results:
             outcome.trials += 1

@@ -78,8 +78,7 @@ def test_criterion_1_worked_example():
 
 def test_criterion_2_master_oracle_equivalence():
     start = time.perf_counter()
-    outcome = run_verification(trials=501, max_facts=8, seed=0,
-                               include_example=True)
+    outcome = run_verification(trials=501, max_facts=8, seed=0)
     elapsed = time.perf_counter() - start
     ok = outcome.ok and outcome.trials == 501 and elapsed < 300.0
     detail = (f"{outcome.trials - 1} random instances, "
@@ -235,7 +234,7 @@ def test_criterion_5_solver_correctness():
 
 def test_criterion_6_mutation_sensitivity():
     outcome = run_verification(trials=500, max_facts=8, seed=0,
-                               mutate="drop-acyc", include_example=True)
+                               mutate="drop-acyc")
     caught = not outcome.ok
     exit_code = main(["verify", "--trials", "2", "--seed", "0",
                       "--mutate", "drop-acyc"])

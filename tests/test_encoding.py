@@ -1,12 +1,13 @@
 import pytest
 
-from repairqa.encoding import (CnfFormula, EncodingSpec, build_multi_formula,
-                               build_single_formula, encode_consistency,
-                               encode_max, encode_neg_cause, encode_neg_query,
-                               encode_pos_query, export_dimacs)
+from repairqa.encoding import (REPAIRS, CnfFormula, EncodingSpec,
+                               build_multi_formula, build_single_formula,
+                               encode_consistency, encode_max, encode_neg_cause,
+                               encode_neg_query, encode_pos_query, export_dimacs,
+                               max_variants)
 from repairqa.errors import CapacityError
-from repairqa.filters import remove_self_inconsistent
-from repairqa.generate import priority_for_mode, random_instance
+from repairqa.filters import preprocess, remove_self_inconsistent
+from repairqa.generate import priority_for_mode, random_instance, verification_instance
 from repairqa.model import (PriorityRelation, make_answer, make_instance,
                             reachable_minus_set)
 from repairqa.oracle import enumerate_completion_repairs, enumerate_pareto_repairs
@@ -50,28 +51,33 @@ def fact_clause(formula, clause, ns=None):
 
 
 class TestNegCause:
+    # the activator's negation guards the first clause only
+    ACT = ("answer", "a")
+
     def test_variant1_beta(self, ex1):
         f = CnfFormula()
-        clauses = encode_neg_cause(f, ex1, {BETA}, 1)
+        clauses = encode_neg_cause(f, ex1, {BETA}, 1, self.ACT)
         assert len(clauses) == 1
-        assert fact_clause(f, clauses[0]) == {(True, ALPHA), (True, GAMMA)}
+        assert clauses[0][0] == -f.var(self.ACT)
+        assert fact_clause(f, clauses[0][1:]) == {(True, ALPHA), (True, GAMMA)}
 
     def test_variant1_alpha(self, ex1):
         f = CnfFormula()
-        clauses = encode_neg_cause(f, ex1, {ALPHA}, 1)
-        assert fact_clause(f, clauses[0]) == {(True, DELTA)}
+        clauses = encode_neg_cause(f, ex1, {ALPHA}, 1, self.ACT)
+        assert fact_clause(f, clauses[0][1:]) == {(True, DELTA)}
 
     def test_variant2_beta(self, ex1):
         f = CnfFormula()
-        clauses = encode_neg_cause(f, ex1, {BETA}, 2)
-        assert fact_clause(f, clauses[0]) == {(False, BETA)}
+        clauses = encode_neg_cause(f, ex1, {BETA}, 2, self.ACT)
+        assert clauses[0][0] == -f.var(self.ACT)
+        assert fact_clause(f, clauses[0][1:]) == {(False, BETA)}
         assert fact_clause(f, clauses[1]) == {(True, BETA), (True, ALPHA), (True, GAMMA)}
 
     def test_self_inconsistent_cause_rejected(self):
         inst = make_instance([0, 1], [(0, 1)], self_inconsistent=[0])
         f = CnfFormula()
         with pytest.raises(ValueError, match="self-inconsistent"):
-            encode_neg_cause(f, inst, {0}, 1)
+            encode_neg_cause(f, inst, {0}, 1, self.ACT)
 
 
 class TestNegQuery:
@@ -122,9 +128,10 @@ class TestPosQuery:
         assert clauses[0][0] == -f.answer_var("q(a)")
 
     def test_forced_cause_stays_satisfiable_with_max(self, ex1):
-        # the repair {alpha, gamma} supports the first cause
+        # the repair {alpha, gamma} supports the first cause, asked as a
+        # one-cause answer
         spec = EncodingSpec("brave", "p", "p1", 1)
-        formula = build_single_formula(ex1, spec, frozenset({ALPHA}))
+        formula = build_single_formula(ex1, spec, make_answer("a", [[ALPHA]]))
         res = solve_clauses(formula.nvars, formula.hard)
         assert res.is_sat
         assert frozenset({ALPHA, GAMMA}) in enumerate_pareto_repairs(ex1).as_set()
@@ -207,16 +214,17 @@ class TestSingleFormulas:
                 assert not solve_clauses(formula.nvars, formula.hard).is_sat
 
     def test_iar_single_fact_sat_with_witness(self, ex1):
+        # a fact is asked as a one-fact answer; its one cause is namespace 0
         spec = EncodingSpec("iar", "p", "p1", 1)
-        formula = build_single_formula(ex1, spec, ALPHA)
+        formula = build_single_formula(ex1, spec, make_answer("a", [[ALPHA]]))
         res = solve_clauses(formula.nvars, formula.hard)
         assert res.is_sat
-        assert res.model[formula.fact_var(BETA)]
-        assert res.model[formula.fact_var(DELTA)]
+        assert res.model[formula.index[("fact", 0, BETA)]]
+        assert res.model[formula.index[("fact", 0, DELTA)]]
 
     def test_completion_iar_fact_unsat(self, ex1):
         spec = EncodingSpec("iar", "c", "c", 1)
-        formula = build_single_formula(ex1, spec, ALPHA)
+        formula = build_single_formula(ex1, spec, make_answer("a", [[ALPHA]]))
         assert not solve_clauses(formula.nvars, formula.hard).is_sat
 
     def test_iar_answer_uses_disjoint_namespaces(self, ex1):
@@ -251,10 +259,13 @@ class TestMultiFormulas:
         assert solve_clauses(psi.nvars, psi.hard, [psi.answer_var("q(a)")]).is_sat
 
     def test_iar_fact_set_activators(self, ex1):
-        spec = EncodingSpec("iar", "p", "p1", 1)
-        psi = build_multi_formula(ex1, spec, [ALPHA, BETA])
-        assert solve_clauses(psi.nvars, psi.hard, [psi.assume_var(ALPHA)]).is_sat
-        assert solve_clauses(psi.nvars, psi.hard, [psi.assume_var(BETA)]).is_sat
+        # the shared formula over one-fact answers that iarfacts sweeps
+        spec = EncodingSpec("ar", "p", "p1", 1)
+        psi = build_multi_formula(ex1, spec, [make_answer(str(f), [[f]])
+                                              for f in (ALPHA, BETA)])
+        assert psi.soft_units == [psi.answer_var(str(ALPHA)), psi.answer_var(str(BETA))]
+        assert solve_clauses(psi.nvars, psi.hard, [psi.answer_var(str(ALPHA))]).is_sat
+        assert solve_clauses(psi.nvars, psi.hard, [psi.answer_var(str(BETA))]).is_sat
 
     def test_empty_targets_rejected(self, ex1):
         spec = EncodingSpec("iar", "p", "p1", 1)
@@ -323,6 +334,27 @@ def test_encoding_is_deterministic(ex1):
     two = build_single_formula(ex1, spec, ex1.answers[0])
     assert one.keys == two.keys
     assert one.hard == two.hard
+
+
+def test_one_fact_answers_encode_alike_under_iar_and_ar():
+    # a fact is in the intersection of the optimal repairs iff it is in every
+    # one of them; iarfacts relies on the two formulas being the same CNF
+    checked = 0
+    for i in range(0, 300, 10):
+        inst = verification_instance(i, 0, max_facts=10, max_conflicts=20)
+        for repair in REPAIRS:
+            residue = preprocess(inst, repair)[3]
+            facts = sorted({f for a in residue.answers for c in a.causes for f in c})
+            for variant in max_variants(repair, inst):
+                for neg in (1, 2):
+                    iar = EncodingSpec("iar", repair, variant, neg)
+                    ar = EncodingSpec("ar", repair, variant, neg)
+                    for f in facts:
+                        ans = make_answer(str(f), [[f]])
+                        assert (build_single_formula(residue, iar, ans).hard
+                                == build_single_formula(residue, ar, ans).hard)
+                        checked += 1
+    assert checked > 500
 
 
 def test_neg_variants_equisatisfiable_on_random_instances():

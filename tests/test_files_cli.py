@@ -387,6 +387,24 @@ class TestGenInstance:
             files.append((kb.read_bytes(), ans.read_bytes()))
         assert files[0] == files[1]
 
+    GEN = ["geninstance", "--facts", "8", "--conflicts", "10", "--answers", "2",
+           "--max-cause-size", "2", "--seed", "1"]
+
+    def test_zero_orientation_probability_orients_nothing(self, tmp_path):
+        kb = tmp_path / "kb.json"
+        assert main(self.GEN + ["--priority-mode", "random", "--p", "0",
+                                "--out-kb", str(kb),
+                                "--out-ans", str(tmp_path / "a.json")]) == 0
+        assert json.loads(kb.read_text())["priority"] == []
+
+    def test_zero_score_levels_exit_2(self, tmp_path, capsys):
+        kb = tmp_path / "kb.json"
+        assert main(self.GEN + ["--priority-mode", "score", "--levels", "0",
+                                "--out-kb", str(kb),
+                                "--out-ans", str(tmp_path / "a.json")]) == 2
+        assert "score level" in capsys.readouterr().err
+        assert not kb.exists()
+
 
 class TestVerifyCommand:
     def test_fixture_only_run_agrees(self, capsys):
@@ -485,6 +503,20 @@ class TestVerifyCommand:
         assert outcome.trials == 1 and outcome.mismatches
         # trial 0 mismatches; at most the trial the worker had taken runs too
         assert started[0] == 0 and len(started) <= 2
+
+    def test_pool_never_outnumbers_the_trials(self, monkeypatch):
+        # a thread stand-in records the worker count and starts no process
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        outcome = run_verification(2, seed=0, jobs=64)
+        assert outcome.trials == 2 and outcome.ok
+        assert len(sizes) == 1 and 1 <= sizes[0] <= 2
 
 
 BENCH_HEADER = ["semantics", "repair", "encoding", "algorithm", "preprocess_ms",

@@ -33,7 +33,7 @@ class TestSubsetRepairs:
         pairs = [(i, i + 1) for i in range(24)]
         inst = make_instance(range(25), pairs)
         with pytest.raises(CapacityError):
-            enumerate_repairs(inst, fact_cap=22)
+            enumerate_repairs(inst)
 
 
 class TestParetoRepairs:
@@ -73,7 +73,7 @@ class TestCompletionRepairs:
         pairs = [(i, i + 1) for i in range(18)]
         inst = make_instance(range(19), pairs)
         with pytest.raises(CapacityError):
-            enumerate_completion_repairs(inst, pair_cap=16)
+            enumerate_completion_repairs(inst)
 
 
 class TestOracleAnswers:
