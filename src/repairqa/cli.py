@@ -69,7 +69,7 @@ def cmd_filter(args) -> int:
                                         conflict_budget=args.budget))
     if args.dump_cnf:
         # the formula the strategies solve: the residue's remaining answers
-        residue = preprocess(instance, spec.repair)[3]
+        residue = preprocess(instance, spec.repair, spec.semantics)[3]
         formula = (build_multi_formula(residue, spec, list(residue.answers))
                    if residue.answers else CnfFormula())
         with open(args.dump_cnf, "wb") as handle:

@@ -2,7 +2,10 @@
 
 Preprocessing drops self-inconsistent facts and runs the grounded fixpoint,
 which settles the answers that facts safe in or lost from every optimal
-repair decide, and hands the strategies the rest on the residual instance.
+repair decide. For s and p repairs, three admissible-set checks on the
+residue then settle more: brave holds, iar fails or ar fails. Completion
+repairs are only some of the Pareto ones, so c keeps the fixpoint's verdicts
+alone. The strategies get the rest on the residual instance.
 
 Every strategy computes the same answer set for a given semantics and repair
 notion; they differ in how they drive the solver (one formula per answer,
@@ -16,13 +19,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .encoding import (MAXIMALITY, SEMANTICS, CnfFormula, EncodingSpec,
                        build_multi_formula, build_single_formula, max_variants)
 from .errors import BudgetExceededError, PairingError
-from .model import (EMPTY_PRIORITY, FactId, PotentialAnswer, PrioritizedInstance,
-                    make_answer)
+from .model import FactId, PotentialAnswer, PrioritizedInstance, make_answer
 from .sat import UNSAT, SolverSession, SolverStats, enumerate_mus, maximize_soft
 
 CLASS_TRIVIAL = "trivial"
@@ -104,28 +106,94 @@ def grounded_facts(instance: PrioritizedInstance
     return first, frozenset(safe), frozenset(lost)
 
 
-def extract_trivial_answers(instance: PrioritizedInstance, repair: str = "p"
+def _admissible_rule(instance: PrioritizedInstance, safe: frozenset[FactId],
+                     lost: frozenset[FactId], semantics: str
+                     ) -> Callable[[tuple[frozenset[FactId], ...]], Optional[bool]]:
+    """The admissible-set check of `semantics` on the residue of s and p
+    repairs: a function from an answer's conflict-free reduced causes to
+    True or False where the check decides the answer, else None.
+
+    The residue's optimal repairs are the stable extensions of the attack
+    relation `dcg().out` lists (a fact's attackers), and under an acyclic
+    priority every admissible set, one that counter-attacks each attacker
+    of its facts, lies in one of them. An unbeaten fact, one that no
+    partner is preferred to, is admissible alone, and so is a conflict-free
+    set of unbeaten facts.
+    """
+    if semantics == "brave":
+        out = instance.dcg().out
+
+        def admissible(cause):
+            return all(out(a) & cause for b in cause for a in out(b) - lost)
+        return lambda causes: True if any(map(admissible, causes)) else None
+    dominators = instance.priority.dominators_of
+    neighbors = instance.conflicts.neighbors
+    unbeaten = frozenset(f for f in instance.universe if f not in safe
+                         and f not in lost and not dominators(f) - lost)
+    if semantics == "iar":
+        # an unbeaten fact's repair misses its partners
+        contested = set().union(*map(neighbors, unbeaten))
+        return lambda causes: False if all(c & contested for c in causes) else None
+
+    def ar_refuted(causes):
+        # for each cause no earlier pick has a partner in, pick an unbeaten
+        # partner of one of its facts that clashes with no earlier pick: one
+        # repair holds every pick and misses all their partners
+        hit: set[FactId] = set()
+        for cause in causes:
+            if cause & hit:
+                continue
+            pick = next((u for f in cause for u in neighbors(f) & unbeaten
+                         if u not in hit), None)
+            if pick is None:
+                return None
+            hit |= neighbors(pick)
+        return False
+    return ar_refuted
+
+
+def extract_trivial_answers(instance: PrioritizedInstance, repair: str,
+                            semantics: str
                             ) -> tuple[tuple[str, ...], dict[str, bool],
                                        PrioritizedInstance]:
-    """Settle what the grounded fixpoint decides and return the rest.
+    """Settle what the grounded fixpoint and, for s and p repairs, the
+    admissible-set checks decide, and return the rest.
 
     Returns the trivial answers (a cause lies within the first-round safe
-    facts), the answers the fixpoint settles beyond those (True: after
-    dropping the causes holding a lost fact and stripping safe facts, a
-    cause is empty; False: no cause is left), and the instance to filter
-    the remaining answers on, with those reduced causes. Safe facts are in
-    every s, p and c repair and lost facts in none, so the settled verdicts
-    hold under every semantics. The returned instance also drops the safe
-    and lost facts with their conflicts and priority edges where its
-    `repair` repairs plus the safe facts are then the full ones: for s and
-    p, and for c when the priority is score-structured. Under other
-    priorities the dropped facts carry priority paths that constrain
-    completions, so for c the facts stay. With no fact lost, every safe fact
-    is conflict-free and dropping it would change nothing the encoders read,
-    so the instance is kept then too. Expects self-inconsistent facts to be
-    gone already.
+    facts), the answers settled beyond those, and the instance to filter the
+    remaining answers on, with their reduced causes: the causes holding no
+    lost fact, stripped of safe facts. Safe facts are in every s, p and c
+    repair and lost facts in none, so the fixpoint settles an answer under
+    every semantics: True when a reduced cause is empty, False when none is
+    left.
+
+    For s and p repairs a cause that is not conflict-free is in no repair,
+    so it is dropped too, and three checks on the residue follow, one per
+    semantics (see `_admissible_rule`):
+    - brave holds when a reduced cause is admissible. Without a priority
+      every conflict-free cause is, so brave/s is decided exactly;
+    - iar fails when every reduced cause holds a partner of an unbeaten
+      fact. Without a priority every residual fact is unbeaten, so iar/s is
+      decided exactly;
+    - ar fails when a greedy conflict-free set of unbeaten facts has a
+      partner in every reduced cause.
+    Completion repairs are only some of the Pareto ones, so an admissible
+    set need not lie in one, and c keeps the fixpoint's verdicts only.
+
+    The returned instance also drops the safe and lost facts with their
+    conflicts and priority edges where its `repair` repairs plus the safe
+    facts are then the full ones: for s and p, and for c when the priority
+    is score-structured. Under other priorities the dropped facts carry
+    priority paths that constrain completions, so for c the facts stay.
+    With no fact lost, every safe fact is conflict-free and dropping it
+    would change nothing the encoders read, and with no answer left no
+    strategy reads the instance, so it is kept in both cases. Expects
+    self-inconsistent facts to be gone already.
     """
     first, safe, lost = grounded_facts(instance)
+    decide = None if repair == "c" else _admissible_rule(instance, safe, lost,
+                                                         semantics)
+    neighbors = instance.conflicts.neighbors
     trivial: list[str] = []
     settled: dict[str, bool] = {}
     kept = []
@@ -134,29 +202,36 @@ def extract_trivial_answers(instance: PrioritizedInstance, repair: str = "p"
             trivial.append(ans.answer_id)
             continue
         reduced = tuple(dict.fromkeys(c - safe for c in ans.causes if not c & lost))
+        if decide is not None:
+            reduced = tuple(c for c in reduced
+                            if not any(neighbors(f) & c for f in c))
         if not reduced or not all(reduced):
             settled[ans.answer_id] = bool(reduced)
+        elif decide is not None and (verdict := decide(reduced)) is not None:
+            settled[ans.answer_id] = verdict
         else:
             kept.append(PotentialAnswer(ans.answer_id, reduced))
-    if lost and (repair != "c" or instance.score_structured):
+    if lost and kept and (repair != "c" or instance.score_structured):
         return tuple(trivial), settled, instance.without_facts(safe | lost, kept)
     return tuple(trivial), settled, instance.with_answers(kept)
 
 
-def preprocess(instance: PrioritizedInstance, repair: str
+def preprocess(instance: PrioritizedInstance, repair: str, semantics: str
                ) -> tuple[frozenset[FactId], tuple[str, ...], dict[str, bool],
                           PrioritizedInstance]:
     """Derive the instance the encoders read for `repair`: drop the priority
     for plain subset repairs, which ignore it, drop self-inconsistent facts,
-    and settle what the grounded fixpoint decides.
+    and settle what the grounded fixpoint and the admissible-set checks of
+    `semantics` decide.
 
     Returns the removed facts, the trivial and settled answers, and the
     residual instance on which the strategies decide the remaining answers.
     """
-    if repair == "s" and not instance.priority.is_empty():
-        instance = instance.with_priority(EMPTY_PRIORITY)
+    if repair == "s":
+        instance = instance.without_priority()
     cleaned, removed = remove_self_inconsistent(instance)
-    trivial, settled, remaining = extract_trivial_answers(cleaned, repair)
+    trivial, settled, remaining = extract_trivial_answers(cleaned, repair,
+                                                          semantics)
     return removed, trivial, settled, remaining
 
 
@@ -343,8 +418,8 @@ def valid_pairing(semantics: str, algorithm: str) -> bool:
 
 
 def answer_query(request: FilterRequest) -> FilterReport:
-    """Preprocess, settle what the grounded fixpoint decides, then run the
-    chosen strategy on the rest."""
+    """Preprocess, settle what the grounded fixpoint and the admissible-set
+    checks decide, then run the chosen strategy on the rest."""
     spec = request.spec
     if not valid_pairing(spec.semantics, request.algorithm):
         raise PairingError(
@@ -354,7 +429,8 @@ def answer_query(request: FilterRequest) -> FilterReport:
             "pareto-style maximality stands in for completion repairs only "
             "under score-structured priorities")
     t0 = time.perf_counter()
-    removed, trivial, settled, remaining = preprocess(request.instance, spec.repair)
+    removed, trivial, settled, remaining = preprocess(
+        request.instance, spec.repair, spec.semantics)
     t1 = time.perf_counter()
 
     ctx = _Ctx(budget=request.conflict_budget)

@@ -400,6 +400,18 @@ class PrioritizedInstance:
     def score_structured(self) -> bool:
         return is_score_structured(self.conflicts, self.priority)
 
+    @cached_property
+    def _priority_free(self) -> "PrioritizedInstance":
+        return self._restricted(self.universe, self.conflicts, EMPTY_PRIORITY,
+                                self.answers)
+
+    def without_priority(self) -> "PrioritizedInstance":
+        """This instance with an empty priority, as subset repairs read it.
+
+        The view is built once per instance, so the graph derived from it is
+        too."""
+        return self if self.priority.is_empty() else self._priority_free
+
     def with_priority(self, priority: PriorityRelation) -> "PrioritizedInstance":
         return PrioritizedInstance(self.universe, self.conflicts, priority,
                                    self.answers, self.labels)

@@ -263,13 +263,15 @@ class TestFilterCommand:
         assert paths[bad] in err and paths[other] not in err
 
     def test_budget_exhaustion_exits_3(self, tmp_path):
+        # under s the admissible-set checks would decide every answer; c
+        # keeps the fixpoint's verdicts only, and it decides none here
         inst = make_instance(range(3), [(0, 1), (1, 2), (0, 2)],
                              answers=[make_answer("a", [[0]]),
                                       make_answer("b", [[1]]),
                                       make_answer("c", [[2]])])
         kb, ans = tmp_path / "kb.json", tmp_path / "ans.json"
         save_instance(inst, str(kb), str(ans))
-        code = main(["filter", "--sem", "brave", "--repair", "s",
+        code = main(["filter", "--sem", "brave", "--repair", "c",
                      "--algo", "maxsat", "--kb", str(kb), "--ans", str(ans),
                      "--budget", "0", "--out", str(tmp_path / "o.json")])
         assert code == 3
@@ -287,12 +289,16 @@ class TestFilterCommand:
         assert "p wcnf" in text and "c var 1" in text
 
     def test_dump_cnf_is_the_solved_formula(self, tmp_path):
-        # 0 beats 1, so 0 is trivially safe, 1 lost and then 2 safe; only the
-        # open pair {3, 4} is left to the solver
-        inst = make_instance(range(5), [(0, 1), (1, 2), (3, 4)], [(0, 1)],
+        # 0 beats 1, so 0 is trivially safe, 1 lost and then 2 safe. On the
+        # path 3 - 4 - 5 - 6, 4 beats 3: {4} is admissible, so the checks
+        # settle "admissible", but {3} is not, so only "open" is left to the
+        # solver ({3, 5} is admissible, so it holds)
+        inst = make_instance(range(7), [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)],
+                             [(0, 1), (4, 3)],
                              answers=[make_answer("trivial", [[0]]),
                                       make_answer("settledyes", [[2]]),
                                       make_answer("settledno", [[1]]),
+                                      make_answer("admissible", [[4]]),
                                       make_answer("open", [[3]])])
         kb, ans = tmp_path / "kb.json", tmp_path / "ans.json"
         save_instance(inst, str(kb), str(ans))
@@ -305,9 +311,10 @@ class TestFilterCommand:
                  if line.startswith("c var ")}
         assert "answer(open)" in names
         assert not {"answer(trivial)", "answer(settledyes)", "answer(settledno)",
-                    "fact(0)", "fact(1)", "fact(2)"} & names
+                    "answer(admissible)", "fact(0)", "fact(1)", "fact(2)"} & names
         doc = json.loads((tmp_path / "o.json").read_text())
-        assert doc["answers"] == ["open", "settledyes", "trivial"]
+        assert doc["answers"] == ["admissible", "open", "settledyes", "trivial"]
+        assert doc["settled"] == ["admissible", "settledno", "settledyes"]
 
 
 class TestGenPriority:
@@ -347,7 +354,7 @@ class TestGenInstance:
                      "--out-kb", str(kb), "--out-ans", str(ans)]) == 0
         inst = load_instance(str(kb), str(ans))
         from repairqa.filters import extract_trivial_answers
-        trivial, _, _ = extract_trivial_answers(inst)
+        trivial, _, _ = extract_trivial_answers(inst, "p", "ar")
         assert set(trivial) == {a.answer_id for a in inst.answers}
 
     def test_complete_conflict_graph_gives_singleton_repairs(self):
@@ -503,6 +510,15 @@ class TestVerifyCommand:
         assert outcome.trials == 1 and outcome.mismatches
         # trial 0 mismatches; at most the trial the worker had taken runs too
         assert started[0] == 0 and len(started) <= 2
+
+    def test_thirty_fact_slice_matches_the_oracle(self):
+        # instances three times the default size, where the fixpoint and the
+        # admissible-set checks settle more; the floors keep the slice from
+        # passing by skipping groups over the oracle caps
+        outcome = run_verification(20, max_facts=30, max_conflicts=60, seed=5)
+        assert outcome.trials == 20 and not outcome.mismatches
+        assert outcome.trials * 9 - outcome.groups_skipped >= 150
+        assert outcome.combos_checked >= 2500
 
     def test_pool_never_outnumbers_the_trials(self, monkeypatch):
         # a thread stand-in records the worker count and starts no process

@@ -9,7 +9,7 @@ from repairqa.filters import (ALGORITHMS, CLASS_AR, CLASS_IAR, CLASS_TRIVIAL,
                               remove_self_inconsistent, valid_pairing)
 from repairqa.generate import priority_for_mode, random_instance, verification_instance
 from repairqa.model import EMPTY_PRIORITY, make_answer, make_instance
-from repairqa.oracle import oracle_answers, repair_family
+from repairqa.oracle import family_answers, oracle_answers, repair_family
 from repairqa.sat import SolverSession
 from repairqa.verify import combos_for
 
@@ -62,27 +62,28 @@ class TestRemoveSelfInconsistent:
 
 class TestTrivialAnswers:
     def test_worked_example_has_none(self, ex1):
-        trivial, _, remaining = extract_trivial_answers(ex1)
+        trivial, _, remaining = extract_trivial_answers(ex1, "p", "ar")
         assert trivial == ()
         assert remaining.answers == ex1.answers
 
     def test_dominating_fact_makes_answer_trivial(self):
         inst = make_instance(range(2), [(0, 1)], [(0, 1)],
                              answers=[make_answer("a", [[0]])])
-        trivial, _, remaining = extract_trivial_answers(inst)
+        trivial, _, remaining = extract_trivial_answers(inst, "p", "ar")
         assert trivial == ("a",)
         assert remaining.answers == ()
 
     def test_conflict_free_cause_is_trivial(self):
         inst = make_instance(range(3), [(0, 1)],
                              answers=[make_answer("a", [[2]])])
-        trivial, _, _ = extract_trivial_answers(inst)
+        trivial, _, _ = extract_trivial_answers(inst, "p", "ar")
         assert trivial == ("a",)
 
     def test_safe_facts_deleted_from_surviving_causes(self):
+        # under s or p the admissible-set checks would settle the answer
         inst = make_instance(range(3), [(0, 1)],
                              answers=[make_answer("a", [[0, 2]])])
-        _, _, remaining = extract_trivial_answers(inst)
+        _, _, remaining = extract_trivial_answers(inst, "c", "ar")
         assert remaining.answers[0].causes == (frozenset({0}),)
 
 
@@ -112,7 +113,10 @@ class TestGroundedFixpoint:
         assert safe == {0, 2} and lost == {1}
 
     def test_settled_answers_and_reduced_causes(self):
-        trivial, settled, remaining = extract_trivial_answers(_settling_instance())
+        # the priority is score-structured, so c drops the settled facts too;
+        # under s or p the admissible-set checks would settle "open" as well
+        trivial, settled, remaining = extract_trivial_answers(_settling_instance(),
+                                                              "c", "ar")
         assert trivial == ("trivial",)
         assert settled == {"held": True, "refuted": False}
         assert remaining.answers == (make_answer("open", [[3]]),)
@@ -121,27 +125,31 @@ class TestGroundedFixpoint:
 
     def test_completion_residue_is_kept_without_score_structure(self):
         inst = _completion_counterexample()
-        _, safe, _ = grounded_facts(inst)
-        _, _, residue = extract_trivial_answers(inst, "p")
+        _, safe, lost = grounded_facts(inst)
+        # the residue p would read, had the checks left it an answer
+        residue = inst.without_facts(safe | lost, ())
         assert residue.universe == (2, 3)
         # the residue's completion repairs miss the priority path 2 > 1 > 3
         full = repair_family(inst, "c").as_set()
         assert full == {frozenset({0, 2})}
         assert {r | safe for r in repair_family(residue, "c").repairs} != full
-        _, _, kept = extract_trivial_answers(inst, "c")
+        _, _, kept = extract_trivial_answers(inst, "c", "ar")
         assert kept.universe == inst.universe
         score = _settling_instance()
-        assert extract_trivial_answers(score, "c")[2].universe == (3, 4)
+        assert extract_trivial_answers(score, "c", "ar")[2].universe == (3, 4)
 
     @pytest.mark.parametrize("repair", ["p", "c"])
     def test_report_names_settled_answers(self, repair):
+        # under p the admissible-set checks settle "open" too: {3} is
+        # admissible, and its partner 4 is unbeaten
+        settled = {"held", "refuted"} | ({"open"} if repair == "p" else set())
         for sem, want in (("iar", {"trivial", "held"}),
                           ("ar", {"trivial", "held"}),
                           ("brave", {"trivial", "held", "open"})):
             report = run(_settling_instance(), sem, repair, "simple")
             assert report.answers == want
             assert report.trivial_answers == {"trivial"}
-            assert report.settled_answers == {"held", "refuted"}
+            assert report.settled_answers == settled
 
     @pytest.mark.parametrize("sem", ["ar", "iar", "brave"])
     def test_completion_residue_needs_score_structure(self, sem):
@@ -155,7 +163,7 @@ class TestGroundedFixpoint:
 
     def test_settled_facts_against_the_oracle(self):
         # denser than the verify default, so the fixpoint runs several rounds
-        checked = 0
+        checked = reduced = 0
         for i in range(300):
             inst = verification_instance(i, 0, max_facts=10, max_conflicts=20)
             for repair in ("s", "p", "c"):
@@ -169,11 +177,107 @@ class TestGroundedFixpoint:
                 for r in full:
                     assert safe <= r and not lost & r, (i, repair)
                 # for c without score structure the residue keeps every fact
-                _, _, residue = extract_trivial_answers(cleaned, repair)
+                if lost and (repair != "c" or cleaned.score_structured):
+                    residue = cleaned.without_facts(safe | lost, ())
+                else:
+                    residue = cleaned
                 assert {r | safe for r in repair_family(residue, repair).repairs} \
                     == full, (i, repair)
+                # preprocessing hands the strategies that residue
+                for sem in ("ar", "iar", "brave"):
+                    _, _, left = extract_trivial_answers(cleaned, repair, sem)
+                    if left.answers:
+                        assert left.universe == residue.universe, (i, repair, sem)
+                        reduced += len(left.universe) < len(cleaned.universe)
                 checked += 1
         assert checked > 850
+        assert reduced > 50
+
+
+@pytest.fixture(scope="module")
+def dense_families():
+    """(instance, repair, family) for s and p over the dense instances of the
+    fixpoint's oracle test, skipping families over the oracle caps."""
+    out = []
+    for i in range(300):
+        inst = verification_instance(i, 0, max_facts=10, max_conflicts=20)
+        for repair in ("s", "p"):
+            try:
+                out.append((inst, repair, repair_family(inst, repair)))
+            except CapacityError:
+                continue
+    return out
+
+
+class TestAdmissibleChecks:
+    # each semantics has one check: brave holds (or, with no conflict-free
+    # cause, fails), iar fails, ar fails
+    @pytest.mark.parametrize("sem, verdicts", [
+        ("brave", {True, False}), ("iar", {False}), ("ar", {False})])
+    def test_check_agrees_with_the_oracle(self, dense_families, sem, verdicts):
+        decided = dict.fromkeys(verdicts, 0)
+        for inst, repair, family in dense_families:
+            want = family_answers(inst, family, sem).answers
+            settled = filters.preprocess(inst, repair, sem)[2]
+            # c keeps the fixpoint's verdicts alone
+            fixpoint = filters.preprocess(inst.without_priority() if repair == "s"
+                                          else inst, "c", sem)[2]
+            assert fixpoint.items() <= settled.items()
+            for aid, held in settled.items():
+                assert held == (aid in want), (sem, repair, aid)
+                if aid not in fixpoint:
+                    decided[held] += 1
+        # each verdict the check can give, it gives often
+        assert min(decided.values()) > 300, decided
+
+    @pytest.mark.parametrize("inst", [
+        # 1 beats 0 outright: the fixpoint refutes the cause {0}
+        make_instance(range(2), [(0, 1)], [(1, 0)],
+                      answers=[make_answer("q", [[0]])]),
+        # a triangle where 0 beats 1: {1} is conflict-free, but it cannot
+        # counter-attack 0, and no check decides it
+        make_instance(range(3), [(0, 1), (1, 2), (0, 2)], [(0, 1)],
+                      answers=[make_answer("q", [[1]])]),
+    ])
+    def test_conflict_free_cause_that_is_not_admissible_stays_out(self, inst):
+        assert oracle_answers(inst, "brave", "p").answers == set()
+        for algo in ALGOS_FOR["brave"]:
+            assert run(inst, "brave", "p", algo).answers == set(), algo
+
+    @pytest.mark.parametrize("sem", ["brave", "iar"])
+    def test_subset_repairs_never_reach_the_solver(self, monkeypatch, sem):
+        sessions = []
+        init = SolverSession.__init__
+
+        def counting(self, *args, **kwargs):
+            sessions.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SolverSession, "__init__", counting)
+        reached = 0
+        for inst in small_instances(30, seed=45):
+            for algo in ALGOS_FOR[sem]:
+                report = run(inst, sem, "s", algo)
+                assert report.solver_stats["solve_calls"] == 0, algo
+                reached += len(report.settled_answers)
+        assert sessions == [] and reached
+
+    def test_priority_free_view_is_built_once(self, monkeypatch, ex1):
+        build = model.directed_conflict_graph
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(model, "directed_conflict_graph", counting)
+        fresh = make_instance(ex1.universe, ex1.conflicts.sorted_pairs(),
+                              ex1.priority.sorted_edges(), ex1.answers)
+        for sem in ("ar", "iar", "brave"):
+            for algo in ALGOS_FOR[sem]:
+                run(fresh, sem, "s", algo)
+        assert len(calls) == 1 and calls[0][1].is_empty()
+        assert fresh.without_priority() is fresh.without_priority()
 
 
 class TestWorkedExampleVerdicts:
@@ -250,19 +354,21 @@ class TestPipelineMechanics:
         assert run(inst, "iar", "p", "simple").answers == {"a"}
 
     def test_budget_exhaustion_flags_incomplete(self):
+        # under s the admissible-set checks would decide every answer; c
+        # keeps the fixpoint's verdicts only, and it decides none here
         inst = make_instance(range(3), [(0, 1), (1, 2), (0, 2)],
                              answers=[make_answer("a", [[0]]),
                                       make_answer("b", [[1]]),
                                       make_answer("c", [[2]])])
-        report = run(inst, "brave", "s", "maxsat", conflict_budget=0)
+        report = run(inst, "brave", "c", "maxsat", conflict_budget=0)
         assert not report.complete
 
-    def test_fact_cache_shares_solves(self):
-        # both answers hinge on the same fact of an open pair, which the
-        # fixpoint leaves undecided: one solve must settle both
-        inst = make_instance(range(2), [(0, 1)],
-                             answers=[make_answer("a1", [[0]]),
-                                      make_answer("a2", [[0]])])
+    def test_fact_cache_shares_solves(self, ex1):
+        # both answers hinge on alpha, which neither the fixpoint nor the
+        # admissible-set checks decide: each of its partners is beaten. One
+        # solve must settle both
+        inst = ex1.with_answers([make_answer("a1", [[0]]),
+                                 make_answer("a2", [[0]])])
         report = run(inst, "iar", "p", "iarcauses")
         assert report.answers == set()
         assert report.solver_stats["solve_calls"] == 1
@@ -284,7 +390,8 @@ class TestPipelineMechanics:
     def test_sweep_loads_each_formula_into_one_session(self, monkeypatch, sem,
                                                        algo, causes, want):
         # 0 and 1 clash without priority, so no one model shows both
-        # activators: the sweep needs a second round
+        # activators: the sweep needs a second round. Under s the
+        # admissible-set checks would decide both answers; c keeps them open
         counts = {"sessions": 0, "formulas": 0, "rounds": 0}
 
         def counting(name, fn):
@@ -301,7 +408,7 @@ class TestPipelineMechanics:
                             counting("rounds", filters.maximize_soft))
         inst = make_instance(range(2), [(0, 1)],
                              answers=[make_answer(a, c) for a, c in causes.items()])
-        assert run(inst, sem, "s", algo).answers == want
+        assert run(inst, sem, "c", algo).answers == want
         assert counts["formulas"] == 1
         assert counts["rounds"] >= 2
         assert counts["sessions"] == counts["formulas"]
@@ -351,7 +458,7 @@ class TestPipelineMechanics:
                 spec = EncodingSpec(combo.semantics, combo.repair,
                                     combo.max_variant, combo.neg_variant)
                 answer_query(FilterRequest(inst, spec, combo.algorithm))
-                residue = filters.preprocess(inst, combo.repair)[3]
+                residue = filters.preprocess(inst, combo.repair, combo.semantics)[3]
                 residues += (not residue.priority.is_empty()
                              and len(residue.universe) < len(inst.universe))
         # some cells keep a priority on a residue that lost facts
