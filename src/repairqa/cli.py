@@ -4,8 +4,9 @@ Subcommands: filter (answer a query under a chosen semantics), genpriority
 (derive a priority relation for an instance), geninstance (synthesize a
 random instance), verify (agreement suite against the brute-force oracle),
 and bench (timing table with solver counters). Exit codes: 0 success,
-2 invalid combination, input or file, 3 solver budget exhausted (partial
-results flagged).
+1 verify found a mismatch, 2 invalid usage, combination, input or file
+(argparse enforces each count flag's floor), 3 solver budget exhausted
+(partial results flagged).
 """
 
 from __future__ import annotations
@@ -34,16 +35,17 @@ EXIT_BUDGET = 3
 def _spec_from_flags(args) -> EncodingSpec:
     repair, max_variant = REPAIR_FLAGS[args.repair]
     return EncodingSpec(args.sem, repair, max_variant, args.neg,
-                        node_cap=args.node_cap,
-                        omit_acyclicity=getattr(args, "mutate", None) == "drop-acyc")
+                        node_cap=args.node_cap)
 
 
-def _below(flag: str, value, floor: int) -> bool:
-    """Report a numeric flag set below its floor; True when it is."""
-    if value is not None and value < floor:
-        print(f"error: {flag} must be at least {floor}, got {value}", file=sys.stderr)
-        return True
-    return False
+def _at_least(floor: int):
+    """An argparse type for a count flag: an integer no smaller than `floor`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+    return count
 
 
 def _add_filter_flags(parser, with_algo=True):
@@ -54,15 +56,13 @@ def _add_filter_flags(parser, with_algo=True):
         parser.add_argument("--algo", required=True, choices=ALGORITHMS)
     parser.add_argument("--kb", required=True, help="knowledge-base JSON file")
     parser.add_argument("--ans", required=True, help="potential-answers JSON file")
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=_at_least(0), default=None,
                         help="conflict budget per solver call")
-    parser.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
+    parser.add_argument("--node-cap", type=_at_least(1), default=DEFAULT_NODE_CAP,
                         help="fact cap for the completion encoding")
 
 
 def cmd_filter(args) -> int:
-    if _below("--budget", args.budget, 0) or _below("--node-cap", args.node_cap, 1):
-        return EXIT_BAD_COMBINATION
     spec = _spec_from_flags(args)
     instance = load_instance(args.kb, args.ans)
     report = answer_query(FilterRequest(instance, spec, args.algo,
@@ -84,7 +84,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_genpriority(args) -> int:
-    instance = load_instance(args.kb, args.ans)
+    instance = load_instance(args.kb)
     if args.mode == "score":
         if args.levels is None:
             print("error: --mode score requires --levels", file=sys.stderr)
@@ -115,9 +115,6 @@ def cmd_genpriority(args) -> int:
 
 
 def cmd_geninstance(args) -> int:
-    if (_below("--answers", args.answers, 0)
-            or _below("--max-cause-size", args.max_cause_size, 1)):
-        return EXIT_BAD_COMBINATION
     try:
         instance = random_instance(args.facts, args.conflicts, args.answers,
                                    args.max_cause_size, args.seed,
@@ -134,15 +131,9 @@ def cmd_geninstance(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if (_below("--trials", args.trials, 1) or _below("--jobs", args.jobs, 1)
-            or _below("--max-facts", args.max_facts, 3)
-            or _below("--max-conflicts", args.max_conflicts, 0)
-            or _below("--budget", args.budget, 0)):
-        return EXIT_BAD_COMBINATION
     outcome = run_verification(args.trials, max_facts=args.max_facts,
                                seed=args.seed, mutate=args.mutate,
-                               conflict_budget=args.budget, jobs=args.jobs,
-                               max_conflicts=args.max_conflicts)
+                               jobs=args.jobs, max_conflicts=args.max_conflicts)
     print(f"trials: {outcome.trials}")
     print(f"combinations checked: {outcome.combos_checked}")
     print(f"groups skipped over the oracle caps: {outcome.groups_skipped}")
@@ -155,9 +146,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if (_below("--repeat", args.repeat, 1) or _below("--budget", args.budget, 0)
-            or _below("--node-cap", args.node_cap, 1)):
-        return EXIT_BAD_COMBINATION
     instance = load_instance(args.kb, args.ans)
     spec = _spec_from_flags(args)
     rows = []
@@ -212,15 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.add_argument("--dump-cnf", default=None,
                           help="also export the multi-answer encoding as "
                                "DIMACS CNF/WCNF")
-    p_filter.add_argument("--mutate", choices=("drop-acyc",), default=None,
-                          help="known-bad encoding mutation, for harness tests")
     p_filter.set_defaults(func=cmd_filter)
 
     p_gp = sub.add_parser("genpriority", help="build a priority relation "
                                               "over an instance's conflicts")
     p_gp.add_argument("--kb", required=True)
-    p_gp.add_argument("--ans", default=None,
-                      help="optional answers file (ignored for priorities)")
     p_gp.add_argument("--mode", required=True, choices=("score", "random"))
     p_gp.add_argument("--levels", type=int, default=None,
                       help="number of score levels (score mode)")
@@ -233,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gi = sub.add_parser("geninstance", help="synthesize a random instance")
     p_gi.add_argument("--facts", type=int, required=True)
     p_gi.add_argument("--conflicts", type=int, required=True)
-    p_gi.add_argument("--answers", type=int, required=True)
-    p_gi.add_argument("--max-cause-size", type=int, required=True)
+    p_gi.add_argument("--answers", type=_at_least(0), required=True)
+    p_gi.add_argument("--max-cause-size", type=_at_least(1), required=True)
     p_gi.add_argument("--seed", type=int, required=True)
     p_gi.add_argument("--unary", type=int, default=0,
                       help="number of self-inconsistent facts")
@@ -248,12 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-validate the pipeline "
                                              "against the brute-force oracle")
-    p_verify.add_argument("--trials", type=int, required=True)
-    p_verify.add_argument("--max-facts", type=int, default=8)
-    p_verify.add_argument("--max-conflicts", type=int, default=12)
+    p_verify.add_argument("--trials", type=_at_least(1), required=True)
+    p_verify.add_argument("--max-facts", type=_at_least(3), default=8)
+    p_verify.add_argument("--max-conflicts", type=_at_least(0), default=12)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=_at_least(1), default=1)
     p_verify.add_argument("--mutate", choices=("drop-acyc",), default=None)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -261,15 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filter_flags(p_bench, with_algo=False)
     p_bench.add_argument("--algo", required=True,
                          help="one algorithm or a comma-separated list")
-    p_bench.add_argument("--repeat", type=int, default=5)
+    p_bench.add_argument("--repeat", type=_at_least(1), default=5)
     p_bench.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # usage errors exit 2, --help 0
+        return stop.code
     try:
         return args.func(args)
     except (ValueError, OSError) as err:  # the package's errors are ValueErrors

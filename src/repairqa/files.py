@@ -136,7 +136,7 @@ def load_instance(kb_path: str, answers_path: Optional[str] = None
                           answers_source=answers_path)
 
 
-def instance_documents(instance: PrioritizedInstance, query: str = "q"):
+def instance_documents(instance: PrioritizedInstance):
     kb_doc = {
         "facts": [{"id": f, "label": instance.label(f)} for f in instance.universe],
         "conflicts": ([list(p) for p in instance.conflicts.sorted_pairs()]
@@ -144,7 +144,7 @@ def instance_documents(instance: PrioritizedInstance, query: str = "q"):
         "priority": [list(e) for e in instance.priority.sorted_edges()],
     }
     answers_doc = {
-        "query": query,
+        "query": "q",
         "answers": [{"id": a.answer_id, "causes": [sorted(c) for c in a.causes]}
                     for a in instance.answers],
     }
@@ -157,9 +157,9 @@ def write_json(path: str, doc) -> None:
         handle.write("\n")
 
 
-def save_instance(instance: PrioritizedInstance, kb_path: str, answers_path: str,
-                  query: str = "q") -> None:
-    kb_doc, answers_doc = instance_documents(instance, query)
+def save_instance(instance: PrioritizedInstance, kb_path: str,
+                  answers_path: str) -> None:
+    kb_doc, answers_doc = instance_documents(instance)
     write_json(kb_path, kb_doc)
     write_json(answers_path, answers_doc)
 

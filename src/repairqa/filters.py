@@ -456,16 +456,15 @@ def answer_query(request: FilterRequest) -> FilterReport:
 
 
 def classify_answers(instance: PrioritizedInstance, repair_type: str,
-                     neg_variant: int = 1, algorithm: str = "simple",
-                     conflict_budget: Optional[int] = None) -> dict[str, str]:
-    """Bucket every answer by the strongest semantics it satisfies."""
+                     algorithm: str = "simple") -> dict[str, str]:
+    """Bucket every answer by the strongest semantics it satisfies; requests
+    run unbudgeted, as an answer left undecided would land in a weaker class."""
     max_variant = MAXIMALITY[repair_type][0]
     reports = {}
     for sem in ("iar", "ar", "brave"):
         algo = algorithm if valid_pairing(sem, algorithm) else "simple"
-        spec = EncodingSpec(sem, repair_type, max_variant, neg_variant)
-        reports[sem] = answer_query(FilterRequest(
-            instance, spec, algo, conflict_budget=conflict_budget))
+        spec = EncodingSpec(sem, repair_type, max_variant, neg_variant=1)
+        reports[sem] = answer_query(FilterRequest(instance, spec, algo))
     trivial = reports["iar"].trivial_answers
     out = {}
     for ans in instance.answers:

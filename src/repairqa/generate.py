@@ -74,14 +74,13 @@ PRIORITY_MIX = (
 
 
 def verification_instance(index: int, seed: int, max_facts: int = 8,
-                          max_conflicts: int = 12,
-                          answers: int = 3) -> PrioritizedInstance:
+                          max_conflicts: int = 12) -> PrioritizedInstance:
     """Deterministic stream of small instances with a varied priority mix."""
     rng = random.Random((seed * 1_000_003) ^ index)
     n = rng.randint(3, max(3, max_facts))
     m = rng.randint(0, min(max_conflicts, n * (n - 1) // 2))
     unary = 1 if index % 5 == 2 and n > 3 else 0
-    inst = random_instance(n, m, answers, max_cause_size=3,
+    inst = random_instance(n, m, answers=3, max_cause_size=3,
                            seed=rng.randint(0, 2**30), unary=unary)
     mode, levels, p = PRIORITY_MIX[index % len(PRIORITY_MIX)]
     priority = priority_for_mode(inst, mode, rng.randint(0, 2**30),

@@ -92,11 +92,11 @@ class VerifyOutcome:
 
 
 def check_instance(instance: PrioritizedInstance, trial: int = 0,
-                   mutate: Optional[str] = None,
-                   conflict_budget: Optional[int] = None
+                   mutate: Optional[str] = None
                    ) -> tuple[int, int, list[Mismatch]]:
     """Compare the pipeline against the oracle on one instance, up to the
-    first mismatch.
+    first mismatch. Requests run without a conflict budget: a partial answer
+    set compared to the oracle would read as a false mismatch.
 
     Returns the combinations checked, the (semantics, repair) groups skipped
     because their oracle is over its cap, and the mismatches.
@@ -119,8 +119,7 @@ def check_instance(instance: PrioritizedInstance, trial: int = 0,
         spec = EncodingSpec(combo.semantics, combo.repair, combo.max_variant,
                             combo.neg_variant,
                             omit_acyclicity=mutate == "drop-acyc")
-        report = answer_query(FilterRequest(
-            instance, spec, combo.algorithm, conflict_budget=conflict_budget))
+        report = answer_query(FilterRequest(instance, spec, combo.algorithm))
         checked += 1
         want = expected[(combo.semantics, combo.repair)]
         if report.answers != want:
@@ -133,25 +132,23 @@ def check_instance(instance: PrioritizedInstance, trial: int = 0,
 
 
 def _worker(args) -> tuple[int, int, list[Mismatch]]:
-    trial, seed, max_facts, max_conflicts, mutate, budget = args
+    trial, seed, max_facts, max_conflicts, mutate = args
     instance = example_instance() if trial == 0 else \
         verification_instance(trial, seed, max_facts=max_facts,
                               max_conflicts=max_conflicts)
-    return check_instance(instance, trial, mutate, budget)
+    return check_instance(instance, trial, mutate)
 
 
 def run_verification(trials: int, max_facts: int = 8, seed: int = 0,
-                     mutate: Optional[str] = None,
-                     conflict_budget: Optional[int] = None,
-                     jobs: int = 1, max_conflicts: int = 12) -> VerifyOutcome:
+                     mutate: Optional[str] = None, jobs: int = 1,
+                     max_conflicts: int = 12) -> VerifyOutcome:
     """Run the agreement suite over the fixture (trial 0) plus seeded random
     instances, stopping at the first trial with a mismatch. With `jobs` above
     1 the trials run in a process pool of at most `jobs` workers, and never
     more workers than trials or CPUs."""
     if mutate not in (None, "drop-acyc"):
         raise ValueError(f"unknown mutation {mutate!r}")
-    tasks = [(i, seed, max_facts, max_conflicts, mutate, conflict_budget)
-             for i in range(trials)]
+    tasks = [(i, seed, max_facts, max_conflicts, mutate) for i in range(trials)]
     workers = max(1, min(jobs, trials, os.cpu_count() or 1))
     outcome = VerifyOutcome()
     with ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext() as pool:

@@ -146,11 +146,21 @@ class TestFilterCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--jobs", "0"), ("--jobs", "-2"), ("--max-facts", "2"),
-        ("--max-facts", "-1"), ("--budget", "-5")])
+        ("--max-facts", "-1")])
     def test_verify_flag_below_its_floor_exits_2(self, capsys, flag, value):
         assert main(["verify", "--trials", "3", flag, value]) == 2
         err = capsys.readouterr().err
         assert flag in err and value in err
+
+    def test_mutate_is_not_a_filter_flag(self, fixture_paths, capsys):
+        # a known-bad encoding belongs to the harness, not to served answers
+        kb, ans = fixture_paths
+        code = main(["filter", "--sem", "iar", "--repair", "c", "--algo", "simple",
+                     "--kb", kb, "--ans", ans, "--mutate", "drop-acyc"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert "--mutate" in err
 
     @pytest.mark.parametrize("command", ["filter", "bench"])
     def test_negative_budget_exits_2(self, fixture_paths, capsys, command):
@@ -425,6 +435,14 @@ class TestVerifyCommand:
         assert code != 0
         out = capsys.readouterr().out
         assert "first counterexample" in out
+
+    def test_budget_is_not_a_verify_flag(self, capsys):
+        # a spent budget leaves answers undecided, which the oracle comparison
+        # would report as a false counterexample
+        assert main(["verify", "--trials", "30", "--budget", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert "counterexample" not in out
+        assert "--budget" in err
 
     @pytest.mark.parametrize("value", ["-1", "-3"])
     def test_max_conflicts_below_zero_exits_2(self, capsys, value):

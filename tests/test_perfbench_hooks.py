@@ -103,3 +103,25 @@ def test_workload_cells_answer_through_the_request_api(ex1):
     for cell in cells:
         want = oracle_answers(ex1, cell.semantics, cell.repair).answers
         assert answer_query(cell.request).answers == want, cell.name
+
+
+def test_every_workload_builds_and_matches_its_committed_instances(monkeypatch):
+    # set-up runs the package's generators and request API, and checks each
+    # drawn instance against the fingerprint the reference committed for it
+    workloads = load_perfbench("workloads")
+    rq = SimpleNamespace(**{m: importlib.import_module(f"repairqa.{m}")
+                            for m in ("encoding", "filters", "generate", "model",
+                                      "oracle", "sat", "verify")})
+    # the real import drops repairqa from sys.modules, under the other tests
+    monkeypatch.setattr(workloads, "import_repairqa", lambda: rq)
+    reference = workloads.load_reference()
+    requests = {}
+    for name in workloads.WORKLOADS:
+        for seed in (0, 29, 987654321):
+            wl = workloads.build(name, seed)
+            workloads.attach_reference(wl, reference)
+            assert [u.reference_error for u in wl.units
+                    if u.reference_error] == [], (name, seed)
+            if seed == 0:
+                requests[name] = wl.requests_per_pass
+    assert requests == {"completion": 540, "pareto": 1620, "oracle-sweep": 23490}
