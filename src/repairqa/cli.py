@@ -115,13 +115,8 @@ def cmd_genpriority(args) -> int:
 
 
 def cmd_geninstance(args) -> int:
-    try:
-        instance = random_instance(args.facts, args.conflicts, args.answers,
-                                   args.max_cause_size, args.seed,
-                                   unary=args.unary)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_COMBINATION
+    instance = random_instance(args.facts, args.conflicts, args.answers,
+                               args.max_cause_size, args.seed, unary=args.unary)
     if args.priority_mode != "none":
         priority = priority_for_mode(instance, args.priority_mode, args.seed,
                                      levels=args.levels, p=args.p)

@@ -30,6 +30,8 @@ def _load_json(path: str):
     except json.JSONDecodeError as err:
         raise InputError(f"{path}: parse error at line {err.lineno}, "
                          f"column {err.colno}: {err.msg}") from None
+    except RecursionError:
+        raise InputError(f"{path}: nested too deeply to parse") from None
 
 
 def _is_fact_list(entry) -> bool:

@@ -21,8 +21,14 @@ def random_instance(facts: int, conflicts: int, answers: int,
     if unary > facts:
         raise ValueError("more self-inconsistent facts than facts")
     rng = random.Random(seed)
-    all_pairs = [(a, b) for a in range(facts) for b in range(a + 1, facts)]
-    pairs = sorted(rng.sample(all_pairs, conflicts))
+    # draw indices into the pairs a < b listed row by row, as sampling that
+    # list would, and decode them without building it
+    pairs = []
+    row, row_start, row_len = 0, 0, facts - 1
+    for k in sorted(rng.sample(range(max_pairs), conflicts)):
+        while k >= row_start + row_len:
+            row, row_start, row_len = row + 1, row_start + row_len, row_len - 1
+        pairs.append((row, row + 1 + k - row_start))
     self_inc = sorted(rng.sample(range(facts), unary)) if unary else []
     answer_list = []
     for i in range(answers):

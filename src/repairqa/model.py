@@ -163,34 +163,46 @@ def validate_priority(conflicts: ConflictSet,
     return None
 
 
+def reaches(succ: Mapping[FactId, Iterable[FactId]], src: FactId,
+            dst: FactId) -> bool:
+    """Whether `dst` is reachable from `src` (itself included) along `succ`."""
+    seen = {src}
+    stack = [src]
+    while stack:
+        v = stack.pop()
+        if v == dst:
+            return True
+        for w in succ.get(v, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
 def _find_cycle(edges: frozenset[tuple[FactId, FactId]]) -> Optional[list[FactId]]:
+    """The first cycle a depth-first search meets, visiting roots and
+    successors in sorted order; iterative, so long chains do not recurse."""
     succ: dict[FactId, list[FactId]] = {}
     for a, b in sorted(edges):
         succ.setdefault(a, []).append(b)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[FactId, int] = {}
-    stack_path: list[FactId] = []
-
-    def visit(v: FactId) -> Optional[list[FactId]]:
-        color[v] = GRAY
-        stack_path.append(v)
-        for w in succ.get(v, ()):
-            c = color.get(w, WHITE)
-            if c == GRAY:
-                return stack_path[stack_path.index(w):]
-            if c == WHITE:
-                found = visit(w)
-                if found is not None:
-                    return found
-        stack_path.pop()
-        color[v] = BLACK
-        return None
-
-    for v in sorted(succ):
-        if color.get(v, WHITE) == WHITE:
-            found = visit(v)
-            if found is not None:
-                return found
+    done: set[FactId] = set()
+    for root in sorted(succ):
+        if root in done:
+            continue
+        path, on_path, pending = [root], {root}, [iter(succ[root])]
+        while pending:
+            for w in pending[-1]:
+                if w in on_path:
+                    return path[path.index(w):]
+                if w not in done:
+                    path.append(w)
+                    on_path.add(w)
+                    pending.append(iter(succ.get(w, ())))
+                    break
+            else:
+                done.add(path[-1])
+                on_path.remove(path.pop())
+                pending.pop()
     return None
 
 
@@ -291,27 +303,12 @@ def build_random_priority(conflicts: ConflictSet, p: float,
     rng = random.Random(rng_seed)
     succ: dict[FactId, set[FactId]] = {}
     edges: list[tuple[FactId, FactId]] = []
-
-    def creates_cycle(a: FactId, b: FactId) -> bool:
-        # would a -> b close a cycle, i.e. is a reachable from b?
-        seen = {b}
-        stack = [b]
-        while stack:
-            v = stack.pop()
-            if v == a:
-                return True
-            for w in succ.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
     for a, b in conflicts.sorted_pairs():
         if rng.random() >= p:
             continue
         hi, lo = (a, b) if rng.random() < 0.5 else (b, a)
-        if creates_cycle(hi, lo):
-            continue
+        if reaches(succ, lo, hi):
+            continue  # hi -> lo would close a cycle
         edges.append((hi, lo))
         succ.setdefault(hi, set()).add(lo)
     return PriorityRelation(edges)

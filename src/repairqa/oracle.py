@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapacityError
-from .model import FactId, PrioritizedInstance
+from .model import FactId, PrioritizedInstance, reaches
 
 DEFAULT_FACT_CAP = 22
 DEFAULT_PAIR_CAP = 16
@@ -179,19 +179,6 @@ def enumerate_completion_repairs(instance: PrioritizedInstance) -> RepairFamily:
         succ[a].add(b)
         pred[b].add(a)
 
-    def reaches(src, dst):
-        seen = {src}
-        stack = [src]
-        while stack:
-            v = stack.pop()
-            if v == dst:
-                return True
-            for w in succ[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
     repairs: set[frozenset[FactId]] = set()
     count = 0
 
@@ -203,7 +190,7 @@ def enumerate_completion_repairs(instance: PrioritizedInstance) -> RepairFamily:
             return
         a, b = open_pairs[i]
         for hi, lo in ((a, b), (b, a)):
-            if reaches(lo, hi):
+            if reaches(succ, lo, hi):
                 continue  # this orientation would close a cycle
             succ[hi].add(lo)
             pred[lo].add(hi)

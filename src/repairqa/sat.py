@@ -379,7 +379,7 @@ def _at_least_counter(session: SolverSession, lits: Sequence[int]) -> list[int]:
     prev: list[int] = []
     for i in range(1, n + 1):
         lit = lits[i - 1]
-        cur = [session.new_var() for _ in range(i if i <= n else n)]
+        cur = [session.new_var() for _ in range(i)]
         for j in range(1, len(cur) + 1):
             c = cur[j - 1]
             above = prev[j - 1] if j - 1 < len(prev) else None  # c[i-1][j]

@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 import subprocess
 import sys
 import threading
@@ -272,6 +273,38 @@ class TestFilterCommand:
         other = "ans" if bad == "kb" else "kb"
         assert paths[bad] in err and paths[other] not in err
 
+    def test_deeply_nested_input_exits_2_naming_it(self, fixture_paths, tmp_path):
+        _, ans = fixture_paths
+        kb = tmp_path / "deep.json"
+        kb.write_text("[" * 200_000 + "]" * 200_000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repairqa.cli", "filter", "--sem", "brave",
+             "--repair", "s", "--algo", "simple", "--kb", str(kb), "--ans", ans],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {kb}: nested too deeply to parse\n"
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_priority_chain_deeper_than_the_recursion_limit(self, tmp_path, capsys,
+                                                             closed):
+        n = 1200
+        chain = [[i, i + 1] for i in range(n - 1)]
+        kb = write(tmp_path, "kb.json", {
+            "facts": [{"id": i} for i in range(n)],
+            "conflicts": chain + [[0, n - 1]] * closed,
+            "priority": chain + [[n - 1, 0]] * closed})
+        ans = write(tmp_path, "ans.json", {"answers": [{"id": "a", "causes": [[0]]},
+                                                       {"id": "b", "causes": [[1]]}]})
+        code = main(["filter", "--sem", "ar", "--repair", "p1", "--algo", "simple",
+                     "--kb", kb, "--ans", ans])
+        out, err = capsys.readouterr()
+        if closed:
+            assert code == 2
+            assert err == (f"error: {kb}: invalid priority relation, "
+                           f"cycle: {tuple(range(n))}\n")
+        else:
+            assert code == 0 and json.loads(out)["answers"] == ["a"]
+
     def test_budget_exhaustion_exits_3(self, tmp_path):
         # under s the admissible-set checks would decide every answer; c
         # keeps the fixpoint's verdicts only, and it decides none here
@@ -372,6 +405,22 @@ class TestGenInstance:
         from repairqa.oracle import enumerate_repairs
         fam = enumerate_repairs(inst)
         assert fam.as_set() == {frozenset({f}) for f in range(6)}
+
+    def test_conflicts_drawn_as_sampling_the_full_pair_list_would(self):
+        def listed_draw(facts, conflicts, unary, seed):
+            rng = random.Random(seed)
+            every = [(a, b) for a in range(facts) for b in range(a + 1, facts)]
+            pairs = sorted(rng.sample(every, conflicts))
+            return pairs, sorted(rng.sample(range(facts), unary))
+
+        rng = random.Random(11)
+        for _ in range(300):
+            facts = rng.randint(1, 40)
+            conflicts = rng.randint(0, facts * (facts - 1) // 2)
+            unary, seed = rng.randint(0, facts), rng.randint(0, 10**6)
+            inst = random_instance(facts, conflicts, 0, 1, seed, unary=unary)
+            assert listed_draw(facts, conflicts, unary, seed) == (
+                inst.conflicts.sorted_pairs(), sorted(inst.conflicts.self_inconsistent))
 
     def test_infeasible_parameters_exit_2(self, tmp_path):
         assert main(["geninstance", "--facts", "3", "--conflicts", "9",

@@ -6,7 +6,9 @@ from repairqa.model import (ConflictSet, PrioritizedInstance, PriorityRelation,
                             build_random_priority,
                             build_score_priority, directed_conflict_graph,
                             is_score_structured, make_answer, make_instance,
-                            reachable_minus_set, reachable_set, validate_priority)
+                            reachable_minus_set, reachable_set, reaches,
+                            validate_priority)
+from repairqa.model import _find_cycle
 
 from conftest import ALPHA, BETA, DELTA, GAMMA
 
@@ -37,6 +39,24 @@ class TestValidatePriority:
         report = validate_priority(conflicts((0, 1)),
                                    PriorityRelation([(0, 1), (1, 0)]))
         assert report is not None and report.kind == "symmetric-pair"
+
+    CHAIN = 1200  # deeper than Python's default recursion limit
+
+    def test_long_chain_is_valid(self):
+        n = self.CHAIN
+        chain = [(i, i + 1) for i in range(n - 1)]
+        inst = make_instance(range(n), chain, chain)
+        assert len(inst.priority.edges) == n - 1
+        assert inst.score_structured
+
+    def test_closed_long_chain_names_the_whole_cycle(self):
+        n = self.CHAIN
+        chain = [(i, i + 1) for i in range(n - 1)]
+        report = validate_priority(conflicts(*chain, (0, n - 1)),
+                                   PriorityRelation(chain + [(n - 1, 0)]))
+        assert report.kind == "cycle" and report.witness == tuple(range(n))
+        with pytest.raises(ValueError, match=r"cycle: \(0, 1, 2, "):
+            make_instance(range(n), chain + [(0, n - 1)], chain + [(n - 1, 0)])
 
 
 class TestDirectedConflictGraph:
@@ -72,6 +92,17 @@ class TestReachability:
     def test_single_edge(self):
         dcg = directed_conflict_graph(conflicts((0, 1)), PriorityRelation([(0, 1)]))
         assert reachable_set(dcg, {1}) == {0, 1}
+
+    def test_reaches_its_own_source(self):
+        assert reaches({}, 3, 3)
+
+    def test_reaches_not_an_unconnected_node(self):
+        succ = {0: [1], 1: [2], 3: [0]}
+        assert reaches(succ, 0, 2) and not reaches(succ, 0, 3)
+
+    def test_reaches_terminates_on_a_cycle(self):
+        succ = {0: {1}, 1: {2}, 2: {0}, 3: {0}}
+        assert reaches(succ, 1, 0) and not reaches(succ, 0, 3)
 
     def test_minus_closure_no_dominators(self, ex1):
         assert reachable_minus_set(ex1.dcg(), ex1.priority, {ALPHA}) == {ALPHA}
@@ -231,6 +262,42 @@ def test_score_priority_is_score_structured(pairs, data):
     prio = build_score_priority(cs, scores)
     assert validate_priority(cs, prio) is None
     assert is_score_structured(cs, prio)
+
+
+def _recursive_find_cycle(edges):
+    """The recursive cycle search `_find_cycle` replaced, kept as a reference."""
+    succ = {}
+    for a, b in sorted(edges):
+        succ.setdefault(a, []).append(b)
+    color, path = {}, []
+
+    def visit(v):
+        color[v] = "gray"
+        path.append(v)
+        for w in succ.get(v, ()):
+            if color.get(w) == "gray":
+                return path[path.index(w):]
+            if w not in color:
+                found = visit(w)
+                if found is not None:
+                    return found
+        path.pop()
+        color[v] = "black"
+        return None
+
+    for v in sorted(succ):
+        if v not in color:
+            found = visit(v)
+            if found is not None:
+                return found
+    return None
+
+
+@given(edges=st.frozensets(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                           max_size=25))
+@settings(max_examples=300, deadline=None)
+def test_cycle_witness_matches_the_recursive_search(edges):
+    assert _find_cycle(edges) == _recursive_find_cycle(edges)
 
 
 def test_instance_rejects_dangling_answer_facts():
