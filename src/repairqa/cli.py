@@ -210,12 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gp.set_defaults(func=cmd_genpriority)
 
     p_gi = sub.add_parser("geninstance", help="synthesize a random instance")
-    p_gi.add_argument("--facts", type=int, required=True)
-    p_gi.add_argument("--conflicts", type=int, required=True)
+    p_gi.add_argument("--facts", type=_at_least(1), required=True)
+    p_gi.add_argument("--conflicts", type=_at_least(0), required=True)
     p_gi.add_argument("--answers", type=_at_least(0), required=True)
     p_gi.add_argument("--max-cause-size", type=_at_least(1), required=True)
     p_gi.add_argument("--seed", type=int, required=True)
-    p_gi.add_argument("--unary", type=int, default=0,
+    p_gi.add_argument("--unary", type=_at_least(0), default=0,
                       help="number of self-inconsistent facts")
     p_gi.add_argument("--priority-mode", choices=("none", "score", "random"),
                       default="none")

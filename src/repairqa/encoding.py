@@ -6,9 +6,11 @@ query supports. Two blocking-clause variants are supported, three maximality
 encodings (plus the trivial one for plain subset repairs), and one assembler:
 every answer gets an activator literal, and a single-answer formula is the
 one-answer formula with its activator asserted. A cause or a fact is asked
-as a one-cause answer. An `EncodingSpec` carries every setting the assembler
-reads. The encoders read the instance they are given; `filters.preprocess`
-derives it for the repair notion.
+as a one-cause answer. Each block adds its clauses to the formula and returns
+the facts those clauses range over; maximality and consistency are scoped by
+the facts the blocking or forcing clauses return. An `EncodingSpec` carries
+every setting the assembler reads. The encoders read the instance they are
+given; `filters.preprocess` derives it for the repair notion.
 """
 
 from __future__ import annotations
@@ -105,26 +107,15 @@ class CnfFormula:
 
     # -- clauses --------------------------------------------------------
 
-    def add(self, lits: Iterable[int]) -> tuple[int, ...]:
+    def add(self, lits: Iterable[int]) -> None:
         clause = tuple(lits)
         if clause not in self._clause_set:
             self._clause_set.add(clause)
             self.hard.append(clause)
-        return clause
 
     def add_soft_unit(self, var: int) -> None:
         if var not in self.soft_units:
             self.soft_units.append(var)
-
-    def facts_in(self, clauses: Iterable[Iterable[int]],
-                 ns: Optional[int] = None) -> frozenset[FactId]:
-        out = set()
-        for clause in clauses:
-            for lit in clause:
-                key = self.key_of(abs(lit))
-                if key[0] == "fact" and key[1] == ns:
-                    out.add(key[2])
-        return frozenset(out)
 
 
 # ----------------------------------------------------------------------
@@ -137,120 +128,111 @@ def _sorted_out(instance: PrioritizedInstance, fact: FactId) -> list[FactId]:
 
 def encode_neg_cause(formula: CnfFormula, instance: PrioritizedInstance,
                      cause: Iterable[FactId], variant: int, activator: VarKey,
-                     ns: Optional[int] = None) -> list[tuple[int, ...]]:
+                     ns: Optional[int] = None) -> frozenset[FactId]:
     """Clauses stating that the cause does not survive in the selected repair.
 
     Variant 1 emits a single clause of non-dominated contradictors; variant 2
     additionally justifies each cause fact individually. The activator's
     negation guards the (first) clause, so a cause with no contradictor at
     all leaves the activator false in every model: the cause always survives.
+    Returns the contradictors, plus the cause itself for variant 2.
     """
     cause = sorted(set(cause))
     bad = set(cause) & instance.conflicts.self_inconsistent
     if bad:
         raise ValueError(f"cause contains self-inconsistent facts {sorted(bad)}; "
                          "preprocess the instance first")
-    clauses = []
     guard = -formula.var(activator)
     if variant == 1:
         lits = [guard]
-        seen = set()
+        seen: set[FactId] = set()
         for a in cause:
             for b in _sorted_out(instance, a):
-                v = formula.fact_var(b, ns)
-                if v not in seen:
-                    seen.add(v)
-                    lits.append(v)
-        clauses.append(formula.add(lits))
-    else:
-        first = [guard] + [-formula.fact_var(a, ns) for a in cause]
-        clauses.append(formula.add(first))
-        for a in cause:
-            clauses.append(formula.add(
-                [formula.fact_var(a, ns)]
-                + [formula.fact_var(b, ns) for b in _sorted_out(instance, a)]))
-    return clauses
+                if b not in seen:
+                    seen.add(b)
+                    lits.append(formula.fact_var(b, ns))
+        formula.add(lits)
+        return frozenset(seen)
+    formula.add([guard] + [-formula.fact_var(a, ns) for a in cause])
+    read = set(cause)
+    for a in cause:
+        out = _sorted_out(instance, a)
+        read.update(out)
+        formula.add([formula.fact_var(a, ns)] + [formula.fact_var(b, ns) for b in out])
+    return frozenset(read)
 
 
 def encode_neg_query(formula: CnfFormula, instance: PrioritizedInstance,
-                     answer: PotentialAnswer, variant: int) -> list[tuple[int, ...]]:
+                     answer: PotentialAnswer, variant: int) -> frozenset[FactId]:
     """Block every cause of the answer, each block guarded by the answer's
-    activator variable."""
+    activator variable. Returns the facts the blocks read."""
     activator = ("answer", answer.answer_id)
-    clauses = []
+    read: set[FactId] = set()
     for cause in answer.causes:
-        clauses.extend(encode_neg_cause(formula, instance, cause, variant,
-                                        activator=activator))
-    return clauses
+        read |= encode_neg_cause(formula, instance, cause, variant,
+                                 activator=activator)
+    return frozenset(read)
 
 
 def encode_pos_query(formula: CnfFormula,
-                     answer: PotentialAnswer) -> list[tuple[int, ...]]:
+                     answer: PotentialAnswer) -> frozenset[FactId]:
     """Require some cause of the answer to be fully selected when the
-    answer's activator is true."""
+    answer's activator is true. Returns the facts of its causes."""
     selectors = [formula.var(("causesel", answer.answer_id, i))
                  for i in range(len(answer.causes))]
-    clauses = [formula.add([-formula.answer_var(answer.answer_id)] + selectors)]
+    formula.add([-formula.answer_var(answer.answer_id)] + selectors)
     for sel, cause in zip(selectors, answer.causes):
         for a in sorted(cause):
-            clauses.append(formula.add([-sel, formula.fact_var(a)]))
-    return clauses
+            formula.add([-sel, formula.fact_var(a)])
+    return answer.all_facts()
 
 
 def encode_consistency(formula: CnfFormula, instance: PrioritizedInstance,
                        scope: Iterable[FactId],
-                       ns: Optional[int] = None) -> list[tuple[int, ...]]:
+                       ns: Optional[int] = None) -> None:
     """No conflict pair inside the scope may be selected together."""
     scope = set(scope)
-    clauses = []
     for a, b in instance.conflicts.sorted_pairs():
         if a in scope and b in scope:
-            clauses.append(formula.add([-formula.fact_var(a, ns),
-                                        -formula.fact_var(b, ns)]))
-    return clauses
+            formula.add([-formula.fact_var(a, ns), -formula.fact_var(b, ns)])
 
 
 def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
                scope: Iterable[FactId], ns: Optional[int] = None,
                node_cap: int = DEFAULT_NODE_CAP,
-               omit_acyclicity: bool = False
-               ) -> tuple[list[tuple[int, ...]], frozenset[FactId]]:
+               omit_acyclicity: bool = False) -> frozenset[FactId]:
     """Clauses ensuring the selection extends to an optimal repair.
 
-    Returns the clauses and the facts they range over. The "s" variant is
-    empty (every consistent set extends to a maximal one). "p1" works over the
+    Returns the closure the clauses range over. The "s" variant is empty
+    (every consistent set extends to a maximal one). "p1" works over the
     reachability closure of the scope, "p2" over the leaner dominator-driven
-    closure, and "c" over the reachability closure with kill arcs: every
-    dropped fact picks a kept partner it is not preferred to, and those arcs
-    plus the priority must form no cycle (Staworko, Chomicki & Marcinkowski,
-    2012). Transitive-closure rows start only from the smaller end of each
-    open pair; they are unit or binary over priority arcs and ternary only
-    over open kill arcs, so the block grows with open pairs times arcs. The
-    closure is capped.
+    closure, whose undominated facts get no row but stay in the returned
+    scope of consistency, and "c" over the reachability closure with kill
+    arcs: every dropped fact picks a kept partner it is not preferred to, and
+    those arcs plus the priority must form no cycle (Staworko, Chomicki &
+    Marcinkowski, 2012). Transitive-closure rows start only from the smaller
+    end of each open pair; they are unit or binary over priority arcs and
+    ternary only over open kill arcs, so the block grows with open pairs times
+    arcs. The closure is capped.
     """
     if variant == "s":
-        return [], frozenset()
+        return frozenset()
     dcg = instance.dcg()
-    clauses: list[tuple[int, ...]] = []
     if variant == "p1":
         reach = reachable_set(dcg, set(scope))
         for a in sorted(reach):
-            clauses.append(formula.add(
-                [formula.fact_var(a, ns)]
-                + [formula.fact_var(b, ns) for b in sorted(dcg.out(a))]))
-        return clauses, reach
+            formula.add([formula.fact_var(a, ns)]
+                        + [formula.fact_var(b, ns) for b in sorted(dcg.out(a))])
+        return reach
 
     if variant == "p2":
+        # the closure already holds every row's body
         closure = reachable_minus_set(dcg, instance.priority, set(scope))
-        used = set(closure)
         for a in sorted(closure):
             for b in sorted(instance.priority.dominators_of(a)):
-                body = sorted(dcg.out(b))
-                used.update(body)
-                clauses.append(formula.add(
-                    [-formula.fact_var(a, ns)]
-                    + [formula.fact_var(g, ns) for g in body]))
-        return clauses, frozenset(used)
+                formula.add([-formula.fact_var(a, ns)]
+                            + [formula.fact_var(g, ns) for g in sorted(dcg.out(b))])
+        return closure
 
     if variant == "c":
         reach = reachable_set(dcg, set(scope))
@@ -269,10 +251,9 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
         # preferred to
         for a in sorted(reach):
             partners = sorted(dcg.out(a))
-            clauses.append(formula.add(
-                [formula.fact_var(a, ns)] + [pref(b, a) for b in partners]))
+            formula.add([formula.fact_var(a, ns)] + [pref(b, a) for b in partners])
             for b in partners:
-                clauses.append(formula.add([-pref(b, a), formula.fact_var(b, ns)]))
+                formula.add([-pref(b, a), formula.fact_var(b, ns)])
         if not omit_acyclicity:
             # the kill arcs and the priority must form no cycle; the priority
             # is acyclic, so every cycle runs through an open pair and its
@@ -293,11 +274,10 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
             arcs.sort()
             for f in sorted(starts):
                 for src, dst, is_open in arcs:
-                    clauses.append(formula.add(
-                        ([-trans(f, src)] if src != f else [])
-                        + ([-pref(src, dst)] if is_open else [])
-                        + ([trans(f, dst)] if dst != f else [])))
-        return clauses, reach
+                    formula.add(([-trans(f, src)] if src != f else [])
+                                + ([-pref(src, dst)] if is_open else [])
+                                + ([trans(f, dst)] if dst != f else []))
+        return reach
 
     raise ValueError(f"unknown maximality variant {variant!r}")
 
@@ -306,13 +286,13 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
 # formula assembly
 
 def _scoped_block(formula: CnfFormula, instance: PrioritizedInstance,
-                  spec: EncodingSpec, base_clauses: list[tuple[int, ...]],
+                  spec: EncodingSpec, seed: frozenset[FactId],
                   ns: Optional[int]) -> None:
-    """Maximality and consistency over the facts the base clauses read."""
-    seed = formula.facts_in(base_clauses, ns)
-    _, used = encode_max(formula, instance, spec.max_variant, seed, ns=ns,
-                         node_cap=spec.node_cap,
-                         omit_acyclicity=spec.omit_acyclicity)
+    """Maximality and consistency over the seed, the facts the blocking or
+    forcing clauses read, and the facts maximality reads."""
+    used = encode_max(formula, instance, spec.max_variant, seed, ns=ns,
+                      node_cap=spec.node_cap,
+                      omit_acyclicity=spec.omit_acyclicity)
     encode_consistency(formula, instance, seed | used, ns=ns)
 
 
@@ -349,13 +329,13 @@ def build_multi_formula(instance: PrioritizedInstance, spec: EncodingSpec,
         raise ValueError("no answers to encode")
     formula = CnfFormula()
     if spec.semantics in ("ar", "brave"):
-        all_base: list[tuple[int, ...]] = []
+        seed: set[FactId] = set()
         for ans in answers:
             if spec.semantics == "ar":
-                all_base += encode_neg_query(formula, instance, ans, spec.neg_variant)
+                seed |= encode_neg_query(formula, instance, ans, spec.neg_variant)
             else:
-                all_base += encode_pos_query(formula, ans)
-        _scoped_block(formula, instance, spec, all_base, None)
+                seed |= encode_pos_query(formula, ans)
+        _scoped_block(formula, instance, spec, frozenset(seed), None)
     else:  # iar: per distinct cause, namespaced; guards per answer
         ns_of: dict[frozenset, int] = {}
         for ans in answers:
@@ -364,10 +344,10 @@ def build_multi_formula(instance: PrioritizedInstance, spec: EncodingSpec,
                 key = frozenset(cause)
                 first_time = key not in ns_of
                 ns = ns_of.setdefault(key, len(ns_of))
-                base = encode_neg_cause(formula, instance, cause, spec.neg_variant,
+                read = encode_neg_cause(formula, instance, cause, spec.neg_variant,
                                         activator=activator, ns=ns)
                 if first_time:
-                    _scoped_block(formula, instance, spec, base, ns)
+                    _scoped_block(formula, instance, spec, read, ns)
     for ans in answers:
         formula.add_soft_unit(formula.answer_var(ans.answer_id))
     return formula

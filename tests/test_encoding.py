@@ -56,19 +56,24 @@ class TestNegCause:
 
     def test_variant1_beta(self, ex1):
         f = CnfFormula()
-        clauses = encode_neg_cause(f, ex1, {BETA}, 1, self.ACT)
+        read = encode_neg_cause(f, ex1, {BETA}, 1, self.ACT)
+        clauses = f.hard
+        assert read == {ALPHA, GAMMA}
         assert len(clauses) == 1
         assert clauses[0][0] == -f.var(self.ACT)
         assert fact_clause(f, clauses[0][1:]) == {(True, ALPHA), (True, GAMMA)}
 
     def test_variant1_alpha(self, ex1):
         f = CnfFormula()
-        clauses = encode_neg_cause(f, ex1, {ALPHA}, 1, self.ACT)
+        assert encode_neg_cause(f, ex1, {ALPHA}, 1, self.ACT) == {DELTA}
+        clauses = f.hard
         assert fact_clause(f, clauses[0][1:]) == {(True, DELTA)}
 
     def test_variant2_beta(self, ex1):
         f = CnfFormula()
-        clauses = encode_neg_cause(f, ex1, {BETA}, 2, self.ACT)
+        read = encode_neg_cause(f, ex1, {BETA}, 2, self.ACT)
+        clauses = f.hard
+        assert read == {ALPHA, BETA, GAMMA}
         assert clauses[0][0] == -f.var(self.ACT)
         assert fact_clause(f, clauses[0][1:]) == {(False, BETA)}
         assert fact_clause(f, clauses[1]) == {(True, BETA), (True, ALPHA), (True, GAMMA)}
@@ -84,13 +89,15 @@ class TestNegQuery:
     def test_single_mode(self, ex1):
         # past the activator guard, one block per cause of the single answer
         f = CnfFormula()
-        clauses = encode_neg_query(f, ex1, ex1.answers[0], 1)
+        assert encode_neg_query(f, ex1, ex1.answers[0], 1) == {ALPHA, GAMMA, DELTA}
+        clauses = f.hard
         assert [fact_clause(f, c[1:]) for c in clauses] == [
             {(True, DELTA)}, {(True, ALPHA), (True, GAMMA)}]
 
     def test_multi_mode_adds_activator(self, ex1):
         f = CnfFormula()
-        clauses = encode_neg_query(f, ex1, ex1.answers[0], 1)
+        encode_neg_query(f, ex1, ex1.answers[0], 1)
+        clauses = f.hard
         activator = f.answer_var("q(a)")
         assert all(clause[0] == -activator for clause in clauses)
 
@@ -100,7 +107,8 @@ class TestNegQuery:
         inst = make_instance([0, 1, 2], [(1, 2)],
                              answers=[make_answer("a", [[0]])])
         f = CnfFormula()
-        clauses = encode_neg_query(f, inst, inst.answers[0], 1)
+        assert encode_neg_query(f, inst, inst.answers[0], 1) == frozenset()
+        clauses = f.hard
         activator = f.answer_var("a")
         assert clauses == [(-activator,)]
         assert not solve_clauses(f.nvars, f.hard + [(activator,)]).is_sat
@@ -109,7 +117,8 @@ class TestNegQuery:
 class TestPosQuery:
     def test_selector_expansion(self, ex1):
         f = CnfFormula()
-        clauses = encode_pos_query(f, ex1.answers[0])
+        assert encode_pos_query(f, ex1.answers[0]) == {ALPHA, BETA}
+        clauses = f.hard
         sel0 = f.index[("causesel", "q(a)", 0)]
         sel1 = f.index[("causesel", "q(a)", 1)]
         assert clauses[0] == (-f.answer_var("q(a)"), sel0, sel1)
@@ -119,12 +128,14 @@ class TestPosQuery:
     def test_single_cause(self):
         ans = make_answer("a", [[4]])
         f = CnfFormula()
-        clauses = encode_pos_query(f, ans)
+        assert encode_pos_query(f, ans) == {4}
+        clauses = f.hard
         assert len(clauses) == 2 and len(clauses[0]) == 2
 
     def test_multi_mode_adds_negated_answer(self, ex1):
         f = CnfFormula()
-        clauses = encode_pos_query(f, ex1.answers[0])
+        encode_pos_query(f, ex1.answers[0])
+        clauses = f.hard
         assert clauses[0][0] == -f.answer_var("q(a)")
 
     def test_forced_cause_stays_satisfiable_with_max(self, ex1):
@@ -140,28 +151,32 @@ class TestPosQuery:
 class TestConsistency:
     def test_full_scope_has_one_clause_per_pair(self, ex1):
         f = CnfFormula()
-        clauses = encode_consistency(f, ex1, {0, 1, 2, 3})
+        encode_consistency(f, ex1, {0, 1, 2, 3})
+        clauses = f.hard
         assert len(clauses) == 4
         assert all(len(c) == 2 and all(l < 0 for l in c) for c in clauses)
 
     def test_empty_scope(self, ex1):
         f = CnfFormula()
-        assert encode_consistency(f, ex1, set()) == []
+        encode_consistency(f, ex1, set())
+        assert f.hard == []
 
     def test_singleton_scope(self, ex1):
         f = CnfFormula()
-        assert encode_consistency(f, ex1, {ALPHA}) == []
+        encode_consistency(f, ex1, {ALPHA})
+        assert f.hard == []
 
 
 class TestEncodeMax:
     def test_subset_variant_is_empty(self, ex1):
         f = CnfFormula()
-        clauses, used = encode_max(f, ex1, "s", {0, 1, 2, 3})
-        assert clauses == [] and used == frozenset()
+        used = encode_max(f, ex1, "s", {0, 1, 2, 3})
+        assert f.hard == [] and used == frozenset()
 
     def test_p1_expansion(self, ex1):
         f = CnfFormula()
-        clauses, used = encode_max(f, ex1, "p1", {DELTA, ALPHA, GAMMA})
+        used = encode_max(f, ex1, "p1", {DELTA, ALPHA, GAMMA})
+        clauses = f.hard
         assert used == {ALPHA, BETA, GAMMA, DELTA}
         got = {frozenset(fact_clause(f, c)) for c in clauses}
         assert got == {
@@ -173,7 +188,8 @@ class TestEncodeMax:
 
     def test_p2_scope_stays_in_closure(self, ex1):
         f = CnfFormula()
-        clauses, used = encode_max(f, ex1, "p2", {BETA})
+        used = encode_max(f, ex1, "p2", {BETA})
+        clauses = f.hard
         closure = reachable_minus_set(ex1.dcg(), ex1.priority, {BETA})
         assert used <= closure | {ALPHA, GAMMA}
         for clause in clauses:
@@ -181,7 +197,7 @@ class TestEncodeMax:
 
     def test_completion_kill_arcs_refute_only_the_cyclic_choice(self, ex1):
         f = CnfFormula()
-        clauses, used = encode_max(f, ex1, "c", {DELTA})
+        used = encode_max(f, ex1, "c", {DELTA})
         assert used == {ALPHA, BETA, GAMMA, DELTA}
         assert {key[0] for key in f.keys} == {"fact", "pref", "trans"}
         # one kill arc into each fact from every partner it is not preferred to
@@ -236,11 +252,13 @@ class TestSingleFormulas:
     def test_blocks_range_over_the_seed_and_its_closure(self, ex1):
         # the guarded blocking clauses read the seed; the p1 block closes it
         # under the conflict graph and consistency ranges over both
+        blocks = CnfFormula()
+        seed = encode_neg_query(blocks, ex1, ex1.answers[0], 1)
+        assert seed == {ALPHA, GAMMA, DELTA}
         spec = EncodingSpec("ar", "p", "p1", 1)
         formula = build_single_formula(ex1, spec, ex1.answers[0])
-        guard = -formula.answer_var("q(a)")
-        seed = formula.facts_in(c for c in formula.hard if guard in c)
-        assert seed == {ALPHA, GAMMA, DELTA}
+        # the formula opens with those blocking clauses
+        assert formula.hard[:len(blocks.hard)] == blocks.hard
         assert {key[2] for key in formula.keys if key[0] == "fact"} \
             == {ALPHA, BETA, GAMMA, DELTA}
 
@@ -334,6 +352,51 @@ def test_encoding_is_deterministic(ex1):
     two = build_single_formula(ex1, spec, ex1.answers[0])
     assert one.keys == two.keys
     assert one.hard == two.hard
+
+
+def _facts_in(formula, ns):
+    """The facts in namespace `ns` that the formula's clauses mention,
+    decoded through the variable keys."""
+    return {key[2] for clause in formula.hard
+            for key in (formula.key_of(abs(lit)) for lit in clause)
+            if key[0] == "fact" and key[1] == ns}
+
+
+def test_blocks_return_the_facts_their_clauses_mention():
+    # the assembler scopes maximality and consistency by what the blocks
+    # return, so a block that under-reports silently drops clauses
+    checked = rowless = 0
+    for i in range(120):
+        for s in (0, 1):
+            inst, _ = remove_self_inconsistent(
+                verification_instance(i, s, max_facts=10, max_conflicts=20))
+            dcg = inst.dcg()
+            for ans in inst.answers:
+                for variant in (1, 2):
+                    f = CnfFormula()
+                    assert encode_neg_query(f, inst, ans, variant) == _facts_in(f, None)
+                    for cause in ans.causes:
+                        for ns in (None, 1):
+                            f = CnfFormula()
+                            read = encode_neg_cause(f, inst, cause, variant,
+                                                    ("answer", "a"), ns=ns)
+                            assert read == _facts_in(f, ns)
+                f = CnfFormula()
+                assert encode_pos_query(f, ans) == _facts_in(f, None)
+                for max_variant in ("s", "p1", "p2", "c"):
+                    for ns in (None, 1):
+                        f = CnfFormula()
+                        used = encode_max(f, inst, max_variant, ans.all_facts(), ns=ns)
+                        expected = _facts_in(f, ns)
+                        if max_variant == "p2":
+                            # an undominated fact of the closure gets no row,
+                            # yet consistency must still cover it
+                            expected |= reachable_minus_set(dcg, inst.priority,
+                                                            ans.all_facts())
+                        assert used == expected
+                        rowless += used != _facts_in(f, ns)
+                        checked += 1
+    assert checked > 3000 and rowless > 0
 
 
 def test_one_fact_answers_encode_alike_under_iar_and_ar():

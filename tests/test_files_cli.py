@@ -429,11 +429,13 @@ class TestGenInstance:
                      "--out-ans", str(tmp_path / "a.json")]) == 2
 
     @pytest.mark.parametrize("flag, value", [
-        ("--answers", "-1"), ("--max-cause-size", "0"), ("--max-cause-size", "-2")])
+        ("--answers", "-1"), ("--max-cause-size", "0"), ("--max-cause-size", "-2"),
+        ("--facts", "0"), ("--conflicts", "-1"), ("--unary", "-1")])
     def test_count_below_its_floor_exits_2(self, tmp_path, capsys, flag, value):
-        counts = {"--answers": "2", "--max-cause-size": "2", flag: value}
+        counts = {"--facts": "4", "--conflicts": "1", "--answers": "2",
+                  "--max-cause-size": "2", flag: value}
         kb = tmp_path / "k.json"
-        assert main(["geninstance", "--facts", "4", "--conflicts", "1", "--seed", "0",
+        assert main(["geninstance", "--seed", "0",
                      *(arg for item in counts.items() for arg in item),
                      "--out-kb", str(kb), "--out-ans", str(tmp_path / "a.json")]) == 2
         err = capsys.readouterr().err
