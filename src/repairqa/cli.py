@@ -48,6 +48,14 @@ def _at_least(floor: int):
     return count
 
 
+def probability(text: str) -> float:
+    """An argparse type for a probability: a number in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _add_filter_flags(parser, with_algo=True):
     parser.add_argument("--sem", required=True, choices=SEMANTICS)
     parser.add_argument("--repair", required=True, choices=tuple(REPAIR_FLAGS))
@@ -85,27 +93,20 @@ def cmd_filter(args) -> int:
 
 def cmd_genpriority(args) -> int:
     instance = load_instance(args.kb)
-    if args.mode == "score":
-        if args.levels is None:
-            print("error: --mode score requires --levels", file=sys.stderr)
-            return EXIT_BAD_COMBINATION
-        priority = priority_for_mode(instance, "score", args.seed,
-                                     levels=args.levels)
-    else:
-        if args.p is None:
-            print("error: --mode random requires --p", file=sys.stderr)
-            return EXIT_BAD_COMBINATION
-        priority = priority_for_mode(instance, "random", args.seed, p=args.p)
+    # each mode reads one setting, and only that one is recorded
+    name = "levels" if args.mode == "score" else "p"
+    value = getattr(args, name)
+    if value is None:
+        print(f"error: --mode {args.mode} requires --{name}", file=sys.stderr)
+        return EXIT_BAD_COMBINATION
+    priority = priority_for_mode(instance, args.mode, args.seed, **{name: value})
     doc = {
         "mode": args.mode,
         "seed": args.seed,
+        name: value,
         "priority": [list(e) for e in priority.sorted_edges()],
         "score_structured": is_score_structured(instance.conflicts, priority),
     }
-    if args.levels is not None:
-        doc["levels"] = args.levels
-    if args.p is not None:
-        doc["p"] = args.p
     if args.out:
         write_json(args.out, doc)
     else:
@@ -201,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                                               "over an instance's conflicts")
     p_gp.add_argument("--kb", required=True)
     p_gp.add_argument("--mode", required=True, choices=("score", "random"))
-    p_gp.add_argument("--levels", type=int, default=None,
+    p_gp.add_argument("--levels", type=_at_least(1), default=None,
                       help="number of score levels (score mode)")
-    p_gp.add_argument("--p", type=float, default=None,
+    p_gp.add_argument("--p", type=probability, default=None,
                       help="orientation probability (random mode)")
     p_gp.add_argument("--seed", type=int, default=0)
     p_gp.add_argument("--out", default=None)
@@ -219,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of self-inconsistent facts")
     p_gi.add_argument("--priority-mode", choices=("none", "score", "random"),
                       default="none")
-    p_gi.add_argument("--levels", type=int, default=2)
-    p_gi.add_argument("--p", type=float, default=0.5)
+    p_gi.add_argument("--levels", type=_at_least(1), default=2)
+    p_gi.add_argument("--p", type=probability, default=0.5)
     p_gi.add_argument("--out-kb", required=True)
     p_gi.add_argument("--out-ans", required=True)
     p_gi.set_defaults(func=cmd_geninstance)

@@ -73,14 +73,18 @@ class EncodingSpec:
 
 
 class CnfFormula:
-    """Interned tagged variables, hard clauses, and unit soft literals."""
+    """Interned tagged variables, hard clauses, and unit soft literals.
+
+    Hard clauses are kept as emitted, repeats included (about 1% of them): a
+    solver session takes a repeat with the same decisions, conflicts and
+    verdicts.
+    """
 
     def __init__(self):
         self.keys: list[VarKey] = []
         self.index: dict[VarKey, int] = {}
         self.hard: list[tuple[int, ...]] = []
         self.soft_units: list[int] = []
-        self._clause_set: set[tuple[int, ...]] = set()
 
     # -- variables ------------------------------------------------------
 
@@ -108,10 +112,7 @@ class CnfFormula:
     # -- clauses --------------------------------------------------------
 
     def add(self, lits: Iterable[int]) -> None:
-        clause = tuple(lits)
-        if clause not in self._clause_set:
-            self._clause_set.add(clause)
-            self.hard.append(clause)
+        self.hard.append(tuple(lits))
 
     def add_soft_unit(self, var: int) -> None:
         if var not in self.soft_units:

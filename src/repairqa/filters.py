@@ -458,7 +458,10 @@ def answer_query(request: FilterRequest) -> FilterReport:
 def classify_answers(instance: PrioritizedInstance, repair_type: str,
                      algorithm: str = "simple") -> dict[str, str]:
     """Bucket every answer by the strongest semantics it satisfies; requests
-    run unbudgeted, as an answer left undecided would land in a weaker class."""
+    run unbudgeted, as an answer left undecided would land in a weaker class.
+    A known algorithm that cannot compute a semantics leaves it to `simple`."""
+    if algorithm not in STRATEGIES:
+        raise PairingError(f"unknown algorithm {algorithm!r}")
     max_variant = MAXIMALITY[repair_type][0]
     reports = {}
     for sem in ("iar", "ar", "brave"):

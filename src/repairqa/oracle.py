@@ -16,7 +16,6 @@ from .model import FactId, PrioritizedInstance, reaches
 
 DEFAULT_FACT_CAP = 22
 DEFAULT_PAIR_CAP = 16
-FULL_PARETO_CHECK_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,8 @@ def enumerate_repairs(instance: PrioritizedInstance) -> RepairFamily:
 def _beats_via_single_fact(instance, repair, nodes, adj) -> Optional[FactId]:
     """A fact outside the repair preferred to all of its in-repair rivals.
 
-    Adding such a fact and dropping exactly its rivals is an improvement; the
-    converse holds too, so this single-fact test is exact.
+    Adding such a fact and dropping exactly its rivals is an improvement;
+    `enumerate_pareto_repairs` says why the converse holds too.
     """
     prefers = instance.priority.prefers
     for b in nodes:
@@ -104,43 +103,20 @@ def _beats_via_single_fact(instance, repair, nodes, adj) -> Optional[FactId]:
     return None
 
 
-def _beats_via_full_definition(instance, repair, nodes, adj) -> bool:
-    """Directly search all consistent sets for an improvement witness."""
-    prefers = instance.priority.prefers
-    n = len(nodes)
-    repair_conf = [v for v in nodes if v in repair]
-    for mask in range(1 << n):
-        chosen = {nodes[i] for i in range(n) if mask >> i & 1}
-        if any(b in chosen for a in chosen for b in adj[a]):
-            continue  # not conflict-free
-        dropped = [a for a in repair_conf if a not in chosen]
-        for b in chosen:
-            if b not in repair and all(prefers(b, a) for a in dropped):
-                return True
-    return False
-
-
 def enumerate_pareto_repairs(instance: PrioritizedInstance) -> RepairFamily:
-    """Repairs no single preferred fact can improve upon.
+    """Repairs no set of facts improves upon (Pareto-optimal repairs).
 
-    On small instances the result is re-checked against the literal
-    improvement definition quantifying over all consistent sets.
+    A consistent set improves a repair when one of its facts outside the
+    repair is preferred to every fact of the repair it drops. The single-fact
+    test is exact (Staworko, Chomicki & Marcinkowski, 2012): that fact has
+    rivals in a maximal repair, a consistent set containing it drops them all,
+    so it is preferred to each of them.
     """
     base = enumerate_repairs(instance)
     nodes, _pairs, adj, _free = _core(instance)
-    node_list = sorted(nodes)
-    keep = []
-    for repair in base.repairs:
-        optimal = _beats_via_single_fact(instance, repair, node_list, adj) is None
-        if len(node_list) <= FULL_PARETO_CHECK_LIMIT:
-            full = not _beats_via_full_definition(instance, repair, node_list, adj)
-            if full != optimal:
-                raise AssertionError(
-                    f"pareto tests disagree on {sorted(repair)}: "
-                    f"single-fact={optimal} full={full}")
-        if optimal:
-            keep.append(repair)
-    return RepairFamily("p", tuple(keep))
+    return RepairFamily("p", tuple(
+        repair for repair in base.repairs
+        if _beats_via_single_fact(instance, repair, nodes, adj) is None))
 
 
 def _unique_repair_for_total_order(nodes, adj, pred, free):

@@ -388,6 +388,28 @@ class TestGenPriority:
         assert main(["genpriority", "--kb", kb, "--mode", "score",
                      "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("mode, flag, value", [
+        ("score", "--levels", "0"), ("random", "--levels", "-1"),
+        ("random", "--p", "1.5"), ("score", "--p", "-0.5")])
+    def test_setting_out_of_range_exits_2(self, fixture_paths, capsys,
+                                          mode, flag, value):
+        kb, _ = fixture_paths
+        assert main(["genpriority", "--kb", kb, "--mode", mode,
+                     "--levels", "2", "--p", "0.5", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and value in err
+
+    @pytest.mark.parametrize("mode, used, unused", [
+        ("score", "levels", "p"), ("random", "p", "levels")])
+    def test_records_only_the_setting_its_mode_reads(self, fixture_paths,
+                                                     capsys, mode, used, unused):
+        kb, _ = fixture_paths
+        assert main(["genpriority", "--kb", kb, "--mode", mode,
+                     "--levels", "3", "--p", "0.4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc[used] == {"levels": 3, "p": 0.4}[used]
+        assert unused not in doc
+
 
 class TestGenInstance:
     def test_conflict_free_instance_is_all_trivial(self, tmp_path):
@@ -430,7 +452,8 @@ class TestGenInstance:
 
     @pytest.mark.parametrize("flag, value", [
         ("--answers", "-1"), ("--max-cause-size", "0"), ("--max-cause-size", "-2"),
-        ("--facts", "0"), ("--conflicts", "-1"), ("--unary", "-1")])
+        ("--facts", "0"), ("--conflicts", "-1"), ("--unary", "-1"),
+        ("--levels", "-3"), ("--p", "1.5"), ("--p", "-0.1"), ("--p", "nan")])
     def test_count_below_its_floor_exits_2(self, tmp_path, capsys, flag, value):
         counts = {"--facts": "4", "--conflicts": "1", "--answers": "2",
                   "--max-cause-size": "2", flag: value}
@@ -470,7 +493,8 @@ class TestGenInstance:
         assert main(self.GEN + ["--priority-mode", "score", "--levels", "0",
                                 "--out-kb", str(kb),
                                 "--out-ans", str(tmp_path / "a.json")]) == 2
-        assert "score level" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--levels" in err and "got 0" in err
         assert not kb.exists()
 
 

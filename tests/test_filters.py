@@ -1,7 +1,8 @@
 import pytest
 
 from repairqa import filters, model
-from repairqa.encoding import MAXIMALITY, REPAIRS, EncodingSpec, max_variants
+from repairqa.encoding import (MAXIMALITY, REPAIRS, EncodingSpec, build_multi_formula,
+                               max_variants)
 from repairqa.errors import CapacityError, PairingError
 from repairqa.filters import (ALGORITHMS, CLASS_AR, CLASS_IAR, CLASS_TRIVIAL,
                               FilterRequest, answer_query, classify_answers,
@@ -549,3 +550,44 @@ class TestClassifyAnswers:
             for repair in ("s", "p", "c"):
                 classes = classify_answers(inst, repair)
                 assert set(classes) == {a.answer_id for a in inst.answers}
+
+    def test_unknown_algorithm_is_rejected(self, ex1):
+        with pytest.raises(PairingError, match="bogus"):
+            classify_answers(ex1, "p", algorithm="bogus")
+
+    def test_known_algorithm_falls_back_where_it_cannot_compute(self, ex1):
+        # iarcauses computes iar only; ar and brave fall back to simple
+        assert classify_answers(ex1, "p", algorithm="iarcauses") == {"q(a)": CLASS_AR}
+
+
+def _ask_every_activator(psi, hard):
+    session = SolverSession(psi.nvars)
+    for clause in hard:
+        session.add_clause(clause)
+    statuses = [session.solve([v]).status for v in psi.soft_units]
+    st = session.stats
+    return statuses, st.decisions, st.conflicts, st.propagations, st.solve_calls
+
+
+def test_repeated_clauses_change_no_solver_step():
+    # a formula keeps the clauses its blocks emit, repeats included; the
+    # session must take a repeat without a different decision or verdict
+    repeats = 0
+    for seed in (0, 1):
+        for i in range(150):
+            inst = verification_instance(i, seed, max_facts=10, max_conflicts=20)
+            for repair in REPAIRS:
+                for sem in ("ar", "iar", "brave"):
+                    residue = filters.preprocess(inst, repair, sem)[3]
+                    if not residue.answers:
+                        continue
+                    for variant in max_variants(repair, inst):
+                        for neg in (1, 2):
+                            spec = EncodingSpec(sem, repair, variant, neg)
+                            psi = build_multi_formula(residue, spec,
+                                                      list(residue.answers))
+                            unique = list(dict.fromkeys(psi.hard))
+                            repeats += len(psi.hard) - len(unique)
+                            assert (_ask_every_activator(psi, psi.hard)
+                                    == _ask_every_activator(psi, unique)), (seed, i, spec)
+    assert repeats >= 3000

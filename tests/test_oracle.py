@@ -1,6 +1,7 @@
 import pytest
 
 from repairqa.errors import CapacityError
+from repairqa.generate import verification_instance
 from repairqa.model import make_answer, make_instance
 from repairqa.oracle import (enumerate_completion_repairs, enumerate_pareto_repairs,
                              enumerate_repairs, oracle_answers)
@@ -49,6 +50,39 @@ class TestParetoRepairs:
         inst = make_instance(range(4), [(0, 1), (2, 3)])
         assert (enumerate_pareto_repairs(inst).as_set()
                 == enumerate_repairs(inst).as_set())
+
+
+def _improvable_by_some_set(instance, repair):
+    """The definition itself: some consistent set of conflicting facts holds a
+    fact outside `repair` preferred to every conflicting fact it drops from
+    `repair`. Exponential in the conflicting facts."""
+    bad = instance.conflicts.self_inconsistent
+    pairs = [p for p in instance.conflicts.sorted_pairs() if not set(p) & bad]
+    nodes = sorted({f for p in pairs for f in p})
+    prefers = instance.priority.prefers
+    for mask in range(1 << len(nodes)):
+        chosen = {f for k, f in enumerate(nodes) if mask >> k & 1}
+        if any(a in chosen and b in chosen for a, b in pairs):
+            continue
+        dropped = [a for a in nodes if a in repair and a not in chosen]
+        if any(b not in repair and all(prefers(b, a) for a in dropped)
+               for b in chosen):
+            return True
+    return False
+
+
+def test_single_fact_pareto_test_matches_the_set_definition():
+    # the oracle decides Pareto optimality with the single-fact test alone
+    compared = 0
+    for seed in (0, 1):
+        for i in range(300):
+            inst = verification_instance(i, seed, max_facts=10, max_conflicts=20)
+            pareto = enumerate_pareto_repairs(inst).as_set()
+            for repair in enumerate_repairs(inst).repairs:
+                assert (repair in pareto) != _improvable_by_some_set(inst, repair), \
+                    (seed, i, sorted(repair))
+                compared += 1
+    assert compared >= 2500
 
 
 class TestCompletionRepairs:
