@@ -56,6 +56,18 @@ def probability(text: str) -> float:
     return value
 
 
+def algorithm_list(text: str) -> list[str]:
+    """An argparse type for `bench --algo`: a comma-separated list of names
+    from ALGORITHMS. Whether each can compute the semantics is checked per
+    request."""
+    names = [name.strip() for name in text.split(",")]
+    for name in names:
+        if name not in ALGORITHMS:
+            raise argparse.ArgumentTypeError(
+                f"unknown algorithm {name!r} (choose from {', '.join(ALGORITHMS)})")
+    return names
+
+
 def _add_filter_flags(parser, with_algo=True):
     parser.add_argument("--sem", required=True, choices=SEMANTICS)
     parser.add_argument("--repair", required=True, choices=tuple(REPAIR_FLAGS))
@@ -145,8 +157,7 @@ def cmd_bench(args) -> int:
     instance = load_instance(args.kb, args.ans)
     spec = _spec_from_flags(args)
     rows = []
-    for algo in args.algo.split(","):
-        algo = algo.strip()
+    for algo in args.algo:
         pre = flt = 0.0
         complete = True
         for _ in range(args.repeat):
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time the filtering pipeline")
     _add_filter_flags(p_bench, with_algo=False)
-    p_bench.add_argument("--algo", required=True,
+    p_bench.add_argument("--algo", required=True, type=algorithm_list,
                          help="one algorithm or a comma-separated list")
     p_bench.add_argument("--repeat", type=_at_least(1), default=5)
     p_bench.add_argument("--out", default=None, help="CSV path (stdout when omitted)")

@@ -462,6 +462,9 @@ def classify_answers(instance: PrioritizedInstance, repair_type: str,
     A known algorithm that cannot compute a semantics leaves it to `simple`."""
     if algorithm not in STRATEGIES:
         raise PairingError(f"unknown algorithm {algorithm!r}")
+    if repair_type not in MAXIMALITY:
+        raise ValueError(f"unknown repair type {repair_type!r}; "
+                         f"expected one of {', '.join(MAXIMALITY)}")
     max_variant = MAXIMALITY[repair_type][0]
     reports = {}
     for sem in ("iar", "ar", "brave"):

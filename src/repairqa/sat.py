@@ -15,6 +15,7 @@ Branching is amortised through a scan cursor that backtracking lowers again.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -69,7 +70,7 @@ class SolverSession:
         self._ok = True  # False once the hard clauses are refuted outright
         self._clauses: list[list[int]] = []      # watched clause database
         self._original: list[tuple[int, ...]] = []  # as added, for model checking
-        self._watches: dict[int, list[list[int]]] = {}
+        self._watches: defaultdict[int, list[list[int]]] = defaultdict(list)
         self._assign: list[Optional[bool]] = [None]
         self._level: list[int] = [0]
         self._reason: list[Optional[list[int]]] = [None]
@@ -83,17 +84,12 @@ class SolverSession:
     # clause/variable management
 
     def ensure_vars(self, n: int) -> None:
-        while self.nvars < n:
-            self.nvars += 1
-            self._assign.append(None)
-            self._level.append(0)
-            self._reason.append(None)
-            self._watches.setdefault(self.nvars, [])
-            self._watches.setdefault(-self.nvars, [])
-
-    def new_var(self) -> int:
-        self.ensure_vars(self.nvars + 1)
-        return self.nvars
+        grow = n - self.nvars
+        if grow > 0:  # in place: add_clause holds an alias of _assign
+            self.nvars = n
+            self._assign += [None] * grow
+            self._level += [0] * grow
+            self._reason += [None] * grow
 
     def _value(self, lit: int) -> Optional[bool]:
         v = self._assign[abs(lit)]
@@ -379,7 +375,9 @@ def _at_least_counter(session: SolverSession, lits: Sequence[int]) -> list[int]:
     prev: list[int] = []
     for i in range(1, n + 1):
         lit = lits[i - 1]
-        cur = [session.new_var() for _ in range(i)]
+        base = session.nvars
+        session.ensure_vars(base + i)
+        cur = list(range(base + 1, base + i + 1))
         for j in range(1, len(cur) + 1):
             c = cur[j - 1]
             above = prev[j - 1] if j - 1 < len(prev) else None  # c[i-1][j]
@@ -426,11 +424,17 @@ def enumerate_mus(session: SolverSession,
                   soft_lits: Sequence[int]) -> list[frozenset[int]]:
     """All minimal subsets of soft literals unsatisfiable with the hard clauses.
 
-    Seed-shrink loop over a map of unexplored subsets: satisfiable seeds are
-    grown to maximal satisfiable subsets and blocked from below, unsatisfiable
-    ones shrunk to minimal cores and blocked from above. If the hard clauses
-    alone are unsatisfiable the marker [frozenset()] is returned.
+    Seed-shrink loop over a map of unexplored subsets. A satisfiable seed is
+    blocked from below at the softs its model satisfies rather than grown to
+    a maximal satisfiable subset: every subset of a satisfiable set is
+    satisfiable, so the block loses no MUS, and the seed lies inside the set,
+    so the map loses the seed and the loop ends. An unsatisfiable seed is
+    shrunk to a minimal core in one pass over its softs and blocked from
+    above. If the hard clauses alone are unsatisfiable the marker
+    [frozenset()] is returned.
     """
+    # asked once up front: otherwise every seed would shrink to the empty
+    # core one soft per solve call
     if not session.solve().is_sat:
         return [frozenset()]
     map_session = SolverSession(len(soft_lits),
@@ -445,18 +449,8 @@ def enumerate_mus(session: SolverSession,
         chosen = [i for i in range(m) if seed_res.model[i + 1]]
         test = session.solve([soft_lits[i] for i in chosen])
         if test.is_sat:
-            sat_set = {i for i in range(m) if lit_true(test.model, soft_lits[i])}
-            sat_set.update(chosen)
-            for cand in range(m):
-                if cand in sat_set:
-                    continue
-                probe = session.solve([soft_lits[i] for i in sorted(sat_set)]
-                                      + [soft_lits[cand]])
-                if probe.is_sat:
-                    sat_set.update(
-                        i for i in range(m) if lit_true(probe.model, soft_lits[i]))
-                    sat_set.add(cand)
-            excluded = [i + 1 for i in range(m) if i not in sat_set]
+            excluded = [i + 1 for i in range(m)
+                        if not lit_true(test.model, soft_lits[i])]
             if not excluded:
                 break  # every soft fits at once: no MUS can exist
             map_session.add_clause(excluded)
@@ -469,11 +463,10 @@ def enumerate_mus(session: SolverSession,
                 probe = session.solve([soft_lits[j] for j in trial])
                 if probe.is_sat:
                     i += 1
-                else:
+                else:  # cur[:i] are necessary, so the core keeps them in front
                     kept = [j for j in trial
                             if probe.core and soft_lits[j] in probe.core]
                     cur = kept or trial
-                    i = 0
             muses.append(frozenset(soft_lits[j] for j in cur))
             map_session.add_clause([-(j + 1) for j in cur])
     muses.sort(key=lambda s: (len(s), sorted(s)))

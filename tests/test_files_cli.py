@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repairqa import verify
+from repairqa import cli, verify
 from repairqa.cli import main
 from repairqa.errors import InputError
 from repairqa.encoding import EncodingSpec
@@ -190,6 +190,21 @@ class TestFilterCommand:
         out, err = capsys.readouterr()
         assert not out
         assert "algorithm 'iarcauses' cannot compute 'brave'" in err
+
+    @pytest.mark.parametrize("algos, bad", [("simple,bogus", "'bogus'"),
+                                            (",", "''")])
+    def test_bench_unknown_algorithm_exits_2_before_any_request(
+            self, fixture_paths, capsys, monkeypatch, algos, bad):
+        def no_request(*_):
+            raise AssertionError("a request ran")
+        monkeypatch.setattr(cli, "answer_query", no_request)
+        kb, ans = fixture_paths
+        code = main(["bench", "--sem", "brave", "--repair", "s", "--algo", algos,
+                     "--kb", kb, "--ans", ans, "--repeat", "1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert "--algo" in err and f"unknown algorithm {bad}" in err
 
     def test_invalid_pairing_writes_no_dump(self, fixture_paths, tmp_path, capsys):
         kb, ans = fixture_paths

@@ -555,6 +555,10 @@ class TestClassifyAnswers:
         with pytest.raises(PairingError, match="bogus"):
             classify_answers(ex1, "p", algorithm="bogus")
 
+    def test_unknown_repair_type_is_rejected(self, ex1):
+        with pytest.raises(ValueError, match=r"'x'.*s, p, c"):
+            classify_answers(ex1, "x")
+
     def test_known_algorithm_falls_back_where_it_cannot_compute(self, ex1):
         # iarcauses computes iar only; ar and brave fall back to simple
         assert classify_answers(ex1, "p", algorithm="iarcauses") == {"q(a)": CLASS_AR}

@@ -186,6 +186,30 @@ class TestEnumerateMus:
                     rest = [l for l in mus if l != drop]
                     assert brute_sat(n, clauses + [[l] for l in rest])
 
+    def test_returns_every_mus_of_a_brute_force_scan(self):
+        rng = random.Random(29)
+        several = 0
+        for _ in range(400):
+            n = rng.randint(3, 7)
+            # mostly negative clauses over mostly positive softs, so that
+            # softs clash in several ways
+            clauses = [[(-1 if rng.random() < 0.6 else 1) * rng.randint(1, n)
+                        for _ in range(rng.randint(2, 3))]
+                       for _ in range(rng.randint(0, 14))]
+            softs = [v if rng.random() < 0.7 else -v
+                     for v in rng.sample(range(1, n + 1), rng.randint(2, min(n, 6)))]
+            # a subset of softs is satisfiable iff some model satisfies all of it
+            fits = {frozenset(l for l in softs if lit_true(m, l))
+                    for m in brute_models(n, clauses)}
+            unsat = [frozenset(c) for k in range(len(softs) + 1)
+                     for c in itertools.combinations(softs, k)
+                     if not any(fit >= set(c) for fit in fits)]
+            want = [s for s in unsat if not any(t < s for t in unsat)]
+            want.sort(key=lambda s: (len(s), sorted(s)))
+            assert enumerate_mus(loaded(n, clauses), softs) == want
+            several += len(want) >= 2
+        assert several >= 50
+
 
 class TestBudget:
     def test_budget_error_distinct_from_unsat(self):
