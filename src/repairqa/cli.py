@@ -20,7 +20,7 @@ import sys
 from .encoding import (DEFAULT_NODE_CAP, SEMANTICS, CnfFormula, EncodingSpec,
                        build_multi_formula, export_dimacs)
 from .files import (load_instance, result_document, save_instance, write_json)
-from .filters import ALGORITHMS, FilterRequest, answer_query, preprocess
+from .filters import ALGORITHMS, FilterRequest, answer_query
 from .generate import priority_for_mode, random_instance
 from .model import is_score_structured
 from .verify import run_verification
@@ -89,7 +89,7 @@ def cmd_filter(args) -> int:
                                         conflict_budget=args.budget))
     if args.dump_cnf:
         # the formula the strategies solve: the residue's remaining answers
-        residue = preprocess(instance, spec.repair, spec.semantics)[3]
+        residue = report.residue
         formula = (build_multi_formula(residue, spec, list(residue.answers))
                    if residue.answers else CnfFormula())
         with open(args.dump_cnf, "wb") as handle:

@@ -220,7 +220,7 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
         return frozenset()
     dcg = instance.dcg()
     if variant == "p1":
-        reach = reachable_set(dcg, set(scope))
+        reach = reachable_set(dcg, scope)
         for a in sorted(reach):
             formula.add([formula.fact_var(a, ns)]
                         + [formula.fact_var(b, ns) for b in sorted(dcg.out(a))])
@@ -228,7 +228,7 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
 
     if variant == "p2":
         # the closure already holds every row's body
-        closure = reachable_minus_set(dcg, instance.priority, set(scope))
+        closure = reachable_minus_set(dcg, instance.priority, scope)
         for a in sorted(closure):
             for b in sorted(instance.priority.dominators_of(a)):
                 formula.add([-formula.fact_var(a, ns)]
@@ -236,7 +236,7 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
         return closure
 
     if variant == "c":
-        reach = reachable_set(dcg, set(scope))
+        reach = reachable_set(dcg, scope)
         if len(reach) > node_cap:
             raise CapacityError(
                 f"completion encoding over {len(reach)} facts exceeds the cap of "
@@ -262,7 +262,7 @@ def encode_max(formula: CnfFormula, instance: PrioritizedInstance, variant: str,
             prefers = instance.priority.prefers
             arcs: list[tuple[FactId, FactId, bool]] = []  # (src, dst, open)
             starts = set()
-            for a, b in instance.conflicts.sorted_pairs():
+            for a, b in instance.conflicts.pairs:
                 if a not in reach or b not in reach:
                     continue
                 if prefers(a, b):

@@ -1,11 +1,12 @@
 """Answer filtering: preprocessing plus seven SAT-backed strategies.
 
-Preprocessing drops self-inconsistent facts and runs the grounded fixpoint,
-which settles the answers that facts safe in or lost from every optimal
-repair decide. For s and p repairs, three admissible-set checks on the
-residue then settle more: brave holds, iar fails or ar fails. Completion
-repairs are only some of the Pareto ones, so c keeps the fixpoint's verdicts
-alone. The strategies get the rest on the residual instance.
+Preprocessing drops self-inconsistent facts, settling the answers left
+without a cause, and runs the grounded fixpoint, which settles the answers
+that facts safe in or lost from every optimal repair decide. For s and p
+repairs, three admissible-set checks on the residue then settle more: brave
+holds, iar fails or ar fails. Completion repairs are only some of the Pareto
+ones, so c keeps the fixpoint's verdicts alone. The strategies get the rest
+on the residual instance.
 
 Every strategy computes the same answer set for a given semantics and repair
 notion; they differ in how they drive the solver (one formula per answer,
@@ -48,6 +49,8 @@ class FilterReport:
     trivial_answers: frozenset[str]
     settled_answers: frozenset[str]
     removed_self_inconsistent: frozenset[FactId]
+    # the instance the strategy solved, holding the answers left open
+    residue: PrioritizedInstance
     timings_ms: dict[str, float]
     solver_stats: dict
     complete: bool = True
@@ -226,12 +229,18 @@ def preprocess(instance: PrioritizedInstance, repair: str, semantics: str
 
     Returns the removed facts, the trivial and settled answers, and the
     residual instance on which the strategies decide the remaining answers.
+    An answer whose every cause holds a self-inconsistent fact is in no
+    repair, so it is settled as failing.
     """
     if repair == "s":
         instance = instance.without_priority()
     cleaned, removed = remove_self_inconsistent(instance)
     trivial, settled, remaining = extract_trivial_answers(cleaned, repair,
                                                           semantics)
+    if len(cleaned.answers) < len(instance.answers):
+        kept = {ans.answer_id for ans in cleaned.answers}
+        settled.update((ans.answer_id, False) for ans in instance.answers
+                       if ans.answer_id not in kept)
     return removed, trivial, settled, remaining
 
 
@@ -378,11 +387,7 @@ def filter_iar_facts(instance: PrioritizedInstance, spec: EncodingSpec,
     iar_facts: set[FactId] = set()
     non_iar: set[FactId] = set()
     for ans in instance.answers:
-        relevant = set()
-        for cause in ans.causes:
-            relevant |= cause
-        relevant -= iar_facts
-        relevant -= non_iar
+        relevant = ans.all_facts() - iar_facts - non_iar
         if relevant:
             facts = sorted(relevant)
             psi = build_multi_formula(instance, fact_spec,
@@ -448,6 +453,7 @@ def answer_query(request: FilterRequest) -> FilterReport:
         trivial_answers=frozenset(trivial),
         settled_answers=frozenset(settled),
         removed_self_inconsistent=removed,
+        residue=remaining,
         timings_ms={"preprocess_ms": round((t1 - t0) * 1000.0, 3),
                     "filter_ms": round((t2 - t1) * 1000.0, 3)},
         solver_stats=ctx.stats.as_dict(),

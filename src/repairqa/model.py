@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 FactId = int
 
@@ -217,16 +217,13 @@ class DirectedConflictGraph:
     def out(self, fact: FactId) -> frozenset[FactId]:
         return self.out_edges.get(fact, frozenset())
 
-    def nodes(self) -> frozenset[FactId]:
-        return frozenset(self.out_edges)
-
 
 def directed_conflict_graph(conflicts: ConflictSet,
                             priority: PriorityRelation) -> DirectedConflictGraph:
     """Build the directed conflict graph; self-inconsistent facts are excluded."""
     bad = conflicts.self_inconsistent
     out: dict[FactId, set[FactId]] = {}
-    for a, b in conflicts.sorted_pairs():
+    for a, b in conflicts.pairs:
         if a in bad or b in bad:
             continue
         out.setdefault(a, set())
@@ -238,19 +235,22 @@ def directed_conflict_graph(conflicts: ConflictSet,
     return DirectedConflictGraph({f: frozenset(s) for f, s in out.items()})
 
 
+def _closure(seed: Iterable[FactId],
+             successors: Callable[[FactId], Iterable[FactId]]) -> frozenset[FactId]:
+    """`seed` plus every fact reachable from it along `successors`."""
+    result = set(seed)
+    frontier = list(result)
+    while frontier:
+        for g in successors(frontier.pop()):
+            if g not in result:
+                result.add(g)
+                frontier.append(g)
+    return frozenset(result)
+
+
 def reachable_set(dcg: DirectedConflictGraph, seed: Iterable[FactId]) -> frozenset[FactId]:
     """Closure of `seed` under outgoing edges; seed facts are always included."""
-    result = set(seed)
-    frontier = [f for f in result if f in dcg.out_edges]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in dcg.out(f):
-                if g not in result:
-                    result.add(g)
-                    nxt.append(g)
-        frontier = nxt
-    return frozenset(result)
+    return _closure(seed, dcg.out)
 
 
 def reachable_minus_set(dcg: DirectedConflictGraph, priority: PriorityRelation,
@@ -261,18 +261,8 @@ def reachable_minus_set(dcg: DirectedConflictGraph, priority: PriorityRelation,
     every fact preferred to a fact already in the set. `dcg` is the directed
     conflict graph of the same priority relation.
     """
-    result = set(seed)
-    frontier = list(result)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in priority.dominators_of(a):
-                for g in dcg.out(b):
-                    if g not in result:
-                        result.add(g)
-                        nxt.append(g)
-        frontier = nxt
-    return frozenset(result)
+    dominators, out = priority.dominators_of, dcg.out
+    return _closure(seed, lambda a: [g for b in dominators(a) for g in out(b)])
 
 
 def build_score_priority(conflicts: ConflictSet,
@@ -335,11 +325,11 @@ def is_score_structured(conflicts: ConflictSet, priority: PriorityRelation) -> b
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    for a, b in conflicts.sorted_pairs():
+    for a, b in conflicts.pairs:
         if not priority.prefers(a, b) and not priority.prefers(b, a):
             union(a, b)
     comp_edges = set()
-    for a, b in priority.sorted_edges():
+    for a, b in priority.edges:
         ra, rb = find(a), find(b)
         if ra == rb:
             return False

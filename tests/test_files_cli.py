@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repairqa import cli, verify
+from repairqa import cli, filters, verify
 from repairqa.cli import main
 from repairqa.errors import InputError
 from repairqa.encoding import EncodingSpec
@@ -373,6 +373,39 @@ class TestFilterCommand:
         doc = json.loads((tmp_path / "o.json").read_text())
         assert doc["answers"] == ["admissible", "open", "settledyes", "trivial"]
         assert doc["settled"] == ["admissible", "settledno", "settledyes"]
+
+    @pytest.mark.parametrize("sem, suffix", [("ar", ""), ("iar", "@cause0")])
+    def test_dump_cnf_names_completion_variables(self, fixture_paths, tmp_path,
+                                                  sem, suffix):
+        # the README's library example: no fact is safe, so under c the
+        # answer reaches the solver; iar namespaces the block per cause
+        kb, ans = fixture_paths
+        dump = tmp_path / "psi.wcnf"
+        assert main(["filter", "--sem", sem, "--repair", "c", "--algo", "simple",
+                     "--kb", kb, "--ans", ans, "--out", str(tmp_path / "o.json"),
+                     "--dump-cnf", str(dump)]) == 0
+        names = {line.split(" = ")[1] for line in dump.read_text().splitlines()
+                 if line.startswith("c var ")}
+        assert {f"pref_in(0->1){suffix}", f"reaches(0,1){suffix}"} <= names
+        if not suffix:
+            assert not any("@cause" in name for name in names)
+        doc = json.loads((tmp_path / "o.json").read_text())
+        assert doc["trivial"] == [] and doc["settled"] == []
+        assert doc["solver_stats"]["solve_calls"] > 0
+
+    def test_dump_cnf_preprocesses_once(self, fixture_paths, tmp_path, monkeypatch):
+        calls = []
+        original = filters.extract_trivial_answers
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(filters, "extract_trivial_answers", counted)
+        kb, ans = fixture_paths
+        assert main(["filter", "--sem", "ar", "--repair", "c", "--algo", "simple",
+                     "--kb", kb, "--ans", ans, "--out", str(tmp_path / "o.json"),
+                     "--dump-cnf", str(tmp_path / "psi.wcnf")]) == 0
+        assert len(calls) == 1
 
 
 class TestGenPriority:

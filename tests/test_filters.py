@@ -52,6 +52,38 @@ class TestRemoveSelfInconsistent:
         cleaned, _ = remove_self_inconsistent(inst)
         assert cleaned.answers == ()
 
+    def test_answer_without_causes_left_is_settled(self):
+        # every cause of "a" holds the self-inconsistent 0, so it is in no repair
+        inst = make_instance(range(3), [(1, 2)], self_inconsistent=[0],
+                             answers=[make_answer("a", [[0]]),
+                                      make_answer("b", [[1]])])
+        report = run(inst, "ar", "p", "simple")
+        assert report.settled_answers == {"a", "b"}
+        assert report.answers == frozenset()
+        assert report.residue.answers == ()
+
+    def test_preprocessing_accounts_for_every_answer(self):
+        # trivial, settled and left open partition the answers, including
+        # those whose every cause holds a self-inconsistent fact
+        cells = dropped = 0
+        for seed in (0, 1):
+            for i in range(500):
+                inst = verification_instance(i, seed, 8)
+                bad = inst.conflicts.self_inconsistent
+                dropped += sum(all(c & bad for c in a.causes) for a in inst.answers)
+                ids = [a.answer_id for a in inst.answers]
+                for repair in REPAIRS:
+                    for variant in max_variants(repair, inst):
+                        for sem in ("ar", "iar", "brave"):
+                            report = run(inst, sem, repair, "simple", variant)
+                            parts = (report.trivial_answers, report.settled_answers,
+                                     [a.answer_id for a in report.residue.answers])
+                            assert sorted(aid for part in parts for aid in part) \
+                                == sorted(ids), (seed, i, sem, repair, variant)
+                            cells += 1
+        assert dropped >= 100
+        assert cells > 15000
+
     def test_conflicts_touching_bad_facts_dropped(self):
         inst = make_instance(range(3), [(0, 1), (1, 2)], [(1, 2)],
                              self_inconsistent=[0])

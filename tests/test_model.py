@@ -79,7 +79,7 @@ class TestDirectedConflictGraph:
 
     def test_self_inconsistent_excluded(self):
         dcg = directed_conflict_graph(conflicts((0, 1), unary=[0]), PriorityRelation())
-        assert dcg.nodes() == frozenset()
+        assert dcg.out_edges == {}
 
 
 class TestReachability:
@@ -251,6 +251,49 @@ def test_minus_closure_replays_its_rule(pairs, seed, seed_facts):
                         justified.add(g)
                         changed = True
     assert closure == frozenset(justified)
+
+
+def _frontier_reachable(dcg, seed):
+    # the loop reachable_set ran before it shared one walk with the minus closure
+    result = set(seed)
+    frontier = [f for f in result if f in dcg.out_edges]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for g in dcg.out(f):
+                if g not in result:
+                    result.add(g)
+                    nxt.append(g)
+        frontier = nxt
+    return frozenset(result)
+
+
+def _frontier_reachable_minus(dcg, priority, seed):
+    # the loop reachable_minus_set ran before it shared one walk
+    result = set(seed)
+    frontier = list(result)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in priority.dominators_of(a):
+                for g in dcg.out(b):
+                    if g not in result:
+                        result.add(g)
+                        nxt.append(g)
+        frontier = nxt
+    return frozenset(result)
+
+
+@given(pairs=pair_lists, seed=st.integers(0, 999), p=st.floats(0, 1),
+       seed_facts=st.sets(st.integers(0, 11), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_closures_match_their_frontier_loops(pairs, seed, p, seed_facts):
+    # facts 8-11 lie outside every graph drawn here
+    prio = _prio_for(pairs, seed, p)
+    dcg = directed_conflict_graph(ConflictSet(pairs), prio)
+    assert reachable_set(dcg, seed_facts) == _frontier_reachable(dcg, seed_facts)
+    assert (reachable_minus_set(dcg, prio, seed_facts)
+            == _frontier_reachable_minus(dcg, prio, seed_facts))
 
 
 @given(pairs=pair_lists, data=st.data())
