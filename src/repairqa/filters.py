@@ -1,8 +1,8 @@
 """Answer filtering: preprocessing plus seven SAT-backed strategies.
 
-Preprocessing drops self-inconsistent facts, settling the answers left
-without a cause, and runs the grounded fixpoint, which settles the answers
-that facts safe in or lost from every optimal repair decide. For s and p
+Preprocessing runs the grounded fixpoint, which settles the answers that
+facts safe in or lost from every optimal repair decide; a self-inconsistent
+fact is in no repair, so it is lost from the start. For s and p
 repairs, three admissible-set checks on the residue then settle more: brave
 holds, iar fails or ar fails. Completion repairs are only some of the Pareto
 ones, so c keeps the fixpoint's verdicts alone. The strategies get the rest
@@ -85,15 +85,15 @@ def grounded_facts(instance: PrioritizedInstance
     keeps, per fact, the count of its directed-conflict-graph successors not
     yet lost, so the fixpoint costs one pass over the conflicts. A lost fact
     never runs out of successors: the safe fact that first beat it stays.
-    Expects self-inconsistent facts to be gone already.
+    A self-inconsistent fact is in no repair, so it is lost from the start.
     """
     dcg = instance.dcg()
     neighbors = instance.conflicts.neighbors
-    pending = {f: len(dcg.out(f)) for f in instance.universe}
+    lost = set(instance.conflicts.self_inconsistent)
+    pending = {f: len(dcg.out(f)) for f in instance.universe if f not in lost}
     work = [f for f, n in pending.items() if not n]
     first = frozenset(work)
     safe: set[FactId] = set()
-    lost: set[FactId] = set()
     while work:
         f = work.pop()
         safe.add(f)
@@ -188,10 +188,10 @@ def extract_trivial_answers(instance: PrioritizedInstance, repair: str,
     facts are then the full ones: for s and p, and for c when the priority
     is score-structured. Under other priorities the dropped facts carry
     priority paths that constrain completions, so for c the facts stay.
-    With no fact lost, every safe fact is conflict-free and dropping it
-    would change nothing the encoders read, and with no answer left no
-    strategy reads the instance, so it is kept in both cases. Expects
-    self-inconsistent facts to be gone already.
+    With no fact lost but self-inconsistent ones, every safe fact conflicts
+    with those alone and dropping it would change nothing the encoders read,
+    and with no answer left no strategy reads the instance, so it is kept,
+    self-inconsistent facts included, in both cases.
     """
     first, safe, lost = grounded_facts(instance)
     decide = None if repair == "c" else _admissible_rule(instance, safe, lost,
@@ -214,34 +214,27 @@ def extract_trivial_answers(instance: PrioritizedInstance, repair: str,
             settled[ans.answer_id] = verdict
         else:
             kept.append(PotentialAnswer(ans.answer_id, reduced))
-    if lost and kept and (repair != "c" or instance.score_structured):
+    if (kept and lost > instance.conflicts.self_inconsistent
+            and (repair != "c" or instance.score_structured)):
         return tuple(trivial), settled, instance.without_facts(safe | lost, kept)
     return tuple(trivial), settled, instance.with_answers(kept)
 
 
 def preprocess(instance: PrioritizedInstance, repair: str, semantics: str
-               ) -> tuple[frozenset[FactId], tuple[str, ...], dict[str, bool],
-                          PrioritizedInstance]:
+               ) -> tuple[tuple[str, ...], dict[str, bool], PrioritizedInstance]:
     """Derive the instance the encoders read for `repair`: drop the priority
-    for plain subset repairs, which ignore it, drop self-inconsistent facts,
-    and settle what the grounded fixpoint and the admissible-set checks of
-    `semantics` decide.
+    for plain subset repairs, which ignore it, settle what the grounded
+    fixpoint and the admissible-set checks of `semantics` decide, and drop
+    the self-inconsistent facts the residue still holds.
 
-    Returns the removed facts, the trivial and settled answers, and the
-    residual instance on which the strategies decide the remaining answers.
-    An answer whose every cause holds a self-inconsistent fact is in no
-    repair, so it is settled as failing.
+    Returns the trivial and settled answers and the residual instance on
+    which the strategies decide the remaining answers.
     """
     if repair == "s":
         instance = instance.without_priority()
-    cleaned, removed = remove_self_inconsistent(instance)
-    trivial, settled, remaining = extract_trivial_answers(cleaned, repair,
-                                                          semantics)
-    if len(cleaned.answers) < len(instance.answers):
-        kept = {ans.answer_id for ans in cleaned.answers}
-        settled.update((ans.answer_id, False) for ans in instance.answers
-                       if ans.answer_id not in kept)
-    return removed, trivial, settled, remaining
+    trivial, settled, residue = extract_trivial_answers(instance, repair,
+                                                        semantics)
+    return trivial, settled, remove_self_inconsistent(residue)[0]
 
 
 # ----------------------------------------------------------------------
@@ -434,8 +427,8 @@ def answer_query(request: FilterRequest) -> FilterReport:
             "pareto-style maximality stands in for completion repairs only "
             "under score-structured priorities")
     t0 = time.perf_counter()
-    removed, trivial, settled, remaining = preprocess(
-        request.instance, spec.repair, spec.semantics)
+    trivial, settled, remaining = preprocess(request.instance, spec.repair,
+                                             spec.semantics)
     t1 = time.perf_counter()
 
     ctx = _Ctx(budget=request.conflict_budget)
@@ -452,7 +445,7 @@ def answer_query(request: FilterRequest) -> FilterReport:
                  | ctx.held),
         trivial_answers=frozenset(trivial),
         settled_answers=frozenset(settled),
-        removed_self_inconsistent=removed,
+        removed_self_inconsistent=request.instance.conflicts.self_inconsistent,
         residue=remaining,
         timings_ms={"preprocess_ms": round((t1 - t0) * 1000.0, 3),
                     "filter_ms": round((t2 - t1) * 1000.0, 3)},

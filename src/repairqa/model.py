@@ -341,7 +341,8 @@ def is_score_structured(conflicts: ConflictSet, priority: PriorityRelation) -> b
 class PrioritizedInstance:
     """A knowledge base reduced to its conflict structure plus candidate answers.
 
-    The constructor validates the priority; its restrictions do not again."""
+    The constructor validates the priority and that answer ids are distinct;
+    its restrictions do not again."""
 
     universe: tuple[FactId, ...]
     conflicts: ConflictSet
@@ -351,6 +352,11 @@ class PrioritizedInstance:
 
     def __post_init__(self):
         self._check_facts()
+        seen: set[str] = set()
+        for ans in self.answers:
+            if ans.answer_id in seen:
+                raise ValueError(f"duplicate answer id {ans.answer_id!r}")
+            seen.add(ans.answer_id)
         violation = validate_priority(self.conflicts, self.priority)
         if violation is not None:
             raise ValueError(f"invalid priority relation, {violation}")

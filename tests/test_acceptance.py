@@ -136,7 +136,7 @@ def test_criterion_3_score_structured_collapse():
 def _trivial_answers_for(inst, repair):
     from repairqa.filters import preprocess
     # the first-round trivial answers are the same under every semantics
-    return set(preprocess(inst, repair, "iar")[1])
+    return set(preprocess(inst, repair, "iar")[0])
 
 
 def test_criterion_4_containment_chains():

@@ -407,7 +407,7 @@ def test_one_fact_answers_encode_alike_under_iar_and_ar():
         inst = verification_instance(i, 0, max_facts=10, max_conflicts=20)
         for repair in REPAIRS:
             # the residue iarfacts reads
-            residue = preprocess(inst, repair, "iar")[3]
+            residue = preprocess(inst, repair, "iar")[2]
             facts = sorted({f for a in residue.answers for c in a.causes for f in c})
             for variant in max_variants(repair, inst):
                 for neg in (1, 2):

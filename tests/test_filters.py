@@ -1,15 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repairqa import filters, model
-from repairqa.encoding import (MAXIMALITY, REPAIRS, EncodingSpec, build_multi_formula,
-                               max_variants)
+from repairqa.encoding import (MAXIMALITY, REPAIRS, SEMANTICS, EncodingSpec,
+                               build_multi_formula, max_variants)
 from repairqa.errors import CapacityError, PairingError
 from repairqa.filters import (ALGORITHMS, CLASS_AR, CLASS_IAR, CLASS_TRIVIAL,
                               FilterRequest, answer_query, classify_answers,
                               extract_trivial_answers, grounded_facts,
                               remove_self_inconsistent, valid_pairing)
 from repairqa.generate import priority_for_mode, random_instance, verification_instance
-from repairqa.model import EMPTY_PRIORITY, make_answer, make_instance
+from repairqa.model import (EMPTY_PRIORITY, PrioritizedInstance, make_answer,
+                            make_instance)
 from repairqa.oracle import family_answers, oracle_answers, repair_family
 from repairqa.sat import SolverSession
 from repairqa.verify import combos_for
@@ -227,6 +230,99 @@ class TestGroundedFixpoint:
         assert reduced > 50
 
 
+def _check_lost_from_the_start(inst):
+    """Check the fixpoint and the verdicts it and the admissible-set checks
+    give on `inst` as given, self-inconsistent facts included, for s and p;
+    returns how many answers they decided."""
+    bad = inst.conflicts.self_inconsistent
+    decided = 0
+    for repair in ("s", "p"):
+        view = inst.without_priority() if repair == "s" else inst
+        first, safe, lost = grounded_facts(view)
+        assert bad <= lost and not bad & (first | safe)
+        # on every other fact the fixpoint is that of the cleaned instance
+        assert (first, safe, lost - bad) == grounded_facts(
+            remove_self_inconsistent(view)[0])
+        family = repair_family(view, repair)
+        for sem in SEMANTICS:
+            want = family_answers(view, family, sem).answers
+            trivial, settled, _ = extract_trivial_answers(view, repair, sem)
+            assert set(trivial) <= want, (repair, sem)
+            for aid, held in settled.items():
+                assert held == (aid in want), (repair, sem, aid)
+            decided += len(trivial) + len(settled)
+    return decided
+
+
+class TestSelfInconsistentFactsAreLost:
+    def test_a_self_inconsistent_partner_makes_no_fact_safe(self):
+        # 0 is in no repair, so it beats nothing: 1 and 2 stay contested
+        inst = make_instance(range(3), [(0, 1), (1, 2)], self_inconsistent=[0],
+                             answers=[make_answer("b", [[0]]), make_answer("c", [[2]])])
+        assert grounded_facts(inst) == (frozenset(), frozenset(), {0})
+        assert extract_trivial_answers(inst, "p", "ar")[:2] == (
+            (), {"b": False, "c": False})
+        assert oracle_answers(inst, "ar", "p").answers == set()
+        _check_lost_from_the_start(inst)
+
+    def test_verification_stream_against_the_oracle(self):
+        instances = decided = 0
+        for i in range(300):
+            inst = verification_instance(i, 0, 8)
+            if inst.conflicts.self_inconsistent:
+                decided += _check_lost_from_the_start(inst)
+                instances += 1
+        assert instances > 40 and decided > 500, (instances, decided)
+
+    @given(pairs=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))
+                         .filter(lambda p: p[0] < p[1]), max_size=10),
+           unary=st.frozensets(st.integers(0, 5), min_size=1, max_size=2),
+           causes=st.lists(st.lists(st.frozensets(st.integers(0, 5), min_size=1,
+                                                  max_size=3),
+                                    min_size=1, max_size=3),
+                           min_size=1, max_size=3),
+           seed=st.integers(0, 999))
+    @settings(max_examples=100, deadline=None)
+    def test_generated_instances_against_the_oracle(self, pairs, unary, causes,
+                                                    seed):
+        priority = model.build_random_priority(model.ConflictSet(pairs), 0.6, seed)
+        inst = make_instance(range(6), pairs, priority.edges,
+                             [make_answer(f"a{i}", c) for i, c in enumerate(causes)],
+                             self_inconsistent=unary)
+        _check_lost_from_the_start(inst)
+
+    def test_each_view_builds_one_graph_and_restricts_once(self, monkeypatch):
+        build, restrict = model.directed_conflict_graph, PrioritizedInstance.without_facts
+        builds, restrictions = [], []
+
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        def counted_restrict(self, *args):
+            restrictions.append(args)
+            return restrict(self, *args)
+
+        monkeypatch.setattr(model, "directed_conflict_graph", counted_build)
+        monkeypatch.setattr(PrioritizedInstance, "without_facts", counted_restrict)
+        requests = 0
+        for i in range(150):
+            inst = verification_instance(i, 0, 8)
+            if not inst.conflicts.self_inconsistent:
+                continue
+            views = 1 if inst.priority.is_empty() else 2
+            builds.clear()
+            for combo in combos_for(inst):
+                restrictions.clear()
+                spec = EncodingSpec(combo.semantics, combo.repair, combo.max_variant,
+                                    combo.neg_variant)
+                answer_query(FilterRequest(inst, spec, combo.algorithm))
+                assert len(restrictions) <= 1, (i, combo)
+                requests += 1
+            assert len(builds) == views, i
+        assert requests > 3000
+
+
 @pytest.fixture(scope="module")
 def dense_families():
     """(instance, repair, family) for s and p over the dense instances of the
@@ -251,10 +347,10 @@ class TestAdmissibleChecks:
         decided = dict.fromkeys(verdicts, 0)
         for inst, repair, family in dense_families:
             want = family_answers(inst, family, sem).answers
-            settled = filters.preprocess(inst, repair, sem)[2]
+            settled = filters.preprocess(inst, repair, sem)[1]
             # c keeps the fixpoint's verdicts alone
             fixpoint = filters.preprocess(inst.without_priority() if repair == "s"
-                                          else inst, "c", sem)[2]
+                                          else inst, "c", sem)[1]
             assert fixpoint.items() <= settled.items()
             for aid, held in settled.items():
                 assert held == (aid in want), (sem, repair, aid)
@@ -491,7 +587,7 @@ class TestPipelineMechanics:
                 spec = EncodingSpec(combo.semantics, combo.repair,
                                     combo.max_variant, combo.neg_variant)
                 answer_query(FilterRequest(inst, spec, combo.algorithm))
-                residue = filters.preprocess(inst, combo.repair, combo.semantics)[3]
+                residue = filters.preprocess(inst, combo.repair, combo.semantics)[2]
                 residues += (not residue.priority.is_empty()
                              and len(residue.universe) < len(inst.universe))
         # some cells keep a priority on a residue that lost facts
@@ -614,7 +710,7 @@ def test_repeated_clauses_change_no_solver_step():
             inst = verification_instance(i, seed, max_facts=10, max_conflicts=20)
             for repair in REPAIRS:
                 for sem in ("ar", "iar", "brave"):
-                    residue = filters.preprocess(inst, repair, sem)[3]
+                    residue = filters.preprocess(inst, repair, sem)[2]
                     if not residue.answers:
                         continue
                     for variant in max_variants(repair, inst):

@@ -348,6 +348,13 @@ def test_instance_rejects_dangling_answer_facts():
         make_instance([0, 1], [(0, 1)], (), [make_answer("a", [[5]])])
 
 
+def test_instance_rejects_duplicate_answer_ids():
+    # with both kept, the last "a" written would decide the verdict of both
+    with pytest.raises(ValueError, match="duplicate answer id 'a'"):
+        make_instance(range(4), [(0, 1), (2, 3)],
+                      answers=[make_answer("a", [[0]]), make_answer("a", [[2, 3]])])
+
+
 def test_instance_rejects_invalid_priority():
     with pytest.raises(ValueError, match="invalid priority"):
         make_instance([0, 1, 2], [(0, 1)], [(1, 2)])
