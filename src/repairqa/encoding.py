@@ -67,6 +67,8 @@ class EncodingSpec:
             raise ValueError(f"unknown maximality variant {self.max_variant!r}")
         if self.neg_variant not in (1, 2):
             raise ValueError(f"blocking variant must be 1 or 2, got {self.neg_variant}")
+        if type(self.node_cap) is not int or self.node_cap < 1:
+            raise ValueError(f"node cap must be a positive int, got {self.node_cap!r}")
         if self.max_variant not in MAXIMALITY[self.repair]:
             raise ValueError(
                 f"maximality {self.max_variant!r} incompatible with repair {self.repair!r}")

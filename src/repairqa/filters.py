@@ -26,6 +26,7 @@ from .encoding import (MAXIMALITY, SEMANTICS, CnfFormula, EncodingSpec,
                        build_multi_formula, build_single_formula, max_variants)
 from .errors import BudgetExceededError, PairingError
 from .model import FactId, PotentialAnswer, PrioritizedInstance, make_answer
+from .model import grounded_facts  # noqa: F401 (re-exported)
 from .sat import UNSAT, SolverSession, SolverStats, enumerate_mus, maximize_soft
 
 CLASS_TRIVIAL = "trivial"
@@ -65,48 +66,10 @@ def remove_self_inconsistent(instance: PrioritizedInstance
     """Drop self-inconsistent facts, their conflicts, and the causes using them."""
     bad = instance.conflicts.self_inconsistent
     if not bad:
-        return instance, frozenset()
-    answers = []
-    for ans in instance.answers:
-        causes = [c for c in ans.causes if not (c & bad)]
-        if causes:
-            answers.append(PotentialAnswer(ans.answer_id, tuple(causes)))
-    return instance.without_facts(bad, answers), frozenset(bad)
-
-
-def grounded_facts(instance: PrioritizedInstance
-                   ) -> tuple[frozenset[FactId], frozenset[FactId], frozenset[FactId]]:
-    """The first-round safe facts, then all safe and all lost facts.
-
-    The grounded extension of the attack relation "a attacks b iff they
-    conflict and b is not preferred to a": a fact is safe once every partner
-    it is not preferred to is lost, and the partners of a safe fact are lost.
-    Safe facts are in every optimal repair, lost facts in none. A worklist
-    keeps, per fact, the count of its directed-conflict-graph successors not
-    yet lost, so the fixpoint costs one pass over the conflicts. A lost fact
-    never runs out of successors: the safe fact that first beat it stays.
-    A self-inconsistent fact is in no repair, so it is lost from the start.
-    """
-    dcg = instance.dcg()
-    neighbors = instance.conflicts.neighbors
-    lost = set(instance.conflicts.self_inconsistent)
-    pending = {f: len(dcg.out(f)) for f in instance.universe if f not in lost}
-    work = [f for f, n in pending.items() if not n]
-    first = frozenset(work)
-    safe: set[FactId] = set()
-    while work:
-        f = work.pop()
-        safe.add(f)
-        for g in neighbors(f):
-            if g in lost:
-                continue
-            lost.add(g)
-            for h in neighbors(g):
-                if g in dcg.out(h):
-                    pending[h] -= 1
-                    if not pending[h]:
-                        work.append(h)
-    return first, frozenset(safe), frozenset(lost)
+        return instance, bad
+    answers = [PotentialAnswer(ans.answer_id, causes) for ans in instance.answers
+               if (causes := tuple(c for c in ans.causes if not c & bad))]
+    return instance.without_facts(bad).with_answers(answers), bad
 
 
 def _admissible_rule(instance: PrioritizedInstance, safe: frozenset[FactId],
@@ -187,13 +150,11 @@ def extract_trivial_answers(instance: PrioritizedInstance, repair: str,
     conflicts and priority edges where its `repair` repairs plus the safe
     facts are then the full ones: for s and p, and for c when the priority
     is score-structured. Under other priorities the dropped facts carry
-    priority paths that constrain completions, so for c the facts stay.
-    With no fact lost but self-inconsistent ones, every safe fact conflicts
-    with those alone and dropping it would change nothing the encoders read,
-    and with no answer left no strategy reads the instance, so it is kept,
-    self-inconsistent facts included, in both cases.
+    priority paths that constrain completions, so for c only the
+    self-inconsistent facts go. `instance` keeps its fixpoint and each
+    restriction for every request that reads them.
     """
-    first, safe, lost = grounded_facts(instance)
+    first, safe, lost = instance.grounded
     decide = None if repair == "c" else _admissible_rule(instance, safe, lost,
                                                          semantics)
     neighbors = instance.conflicts.neighbors
@@ -214,21 +175,22 @@ def extract_trivial_answers(instance: PrioritizedInstance, repair: str,
             settled[ans.answer_id] = verdict
         else:
             kept.append(PotentialAnswer(ans.answer_id, reduced))
-    if (kept and lost > instance.conflicts.self_inconsistent
-            and (repair != "c" or instance.score_structured)):
-        return tuple(trivial), settled, instance.without_facts(safe | lost, kept)
-    return tuple(trivial), settled, instance.with_answers(kept)
+    drop = (safe | lost if repair != "c" or instance.score_structured
+            else instance.conflicts.self_inconsistent)
+    restricted = instance.without_facts(drop) if drop else instance
+    return tuple(trivial), settled, restricted.with_answers(kept)
 
 
 def preprocess(instance: PrioritizedInstance, repair: str, semantics: str
                ) -> tuple[tuple[str, ...], dict[str, bool], PrioritizedInstance]:
     """Derive the instance the encoders read for `repair`: drop the priority
-    for plain subset repairs, which ignore it, settle what the grounded
-    fixpoint and the admissible-set checks of `semantics` decide, and drop
-    the self-inconsistent facts the residue still holds.
+    for plain subset repairs, which ignore it, then settle what the grounded
+    fixpoint and the admissible-set checks of `semantics` decide.
 
-    Returns the trivial and settled answers and the residual instance on
-    which the strategies decide the remaining answers.
+    Returns the trivial and settled answers and the residue on which the
+    strategies decide the rest. It holds no self-inconsistent fact, so
+    `remove_self_inconsistent` returns it as is; perfbench times
+    preprocessing through both names.
     """
     if repair == "s":
         instance = instance.without_priority()

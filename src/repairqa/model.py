@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 FactId = int
 
@@ -235,22 +235,17 @@ def directed_conflict_graph(conflicts: ConflictSet,
     return DirectedConflictGraph({f: frozenset(s) for f, s in out.items()})
 
 
-def _closure(seed: Iterable[FactId],
-             successors: Callable[[FactId], Iterable[FactId]]) -> frozenset[FactId]:
-    """`seed` plus every fact reachable from it along `successors`."""
+def reachable_set(dcg: DirectedConflictGraph, seed: Iterable[FactId]) -> frozenset[FactId]:
+    """Closure of `seed` under outgoing edges; seed facts are always included."""
+    out = dcg.out
     result = set(seed)
     frontier = list(result)
     while frontier:
-        for g in successors(frontier.pop()):
+        for g in out(frontier.pop()):
             if g not in result:
                 result.add(g)
                 frontier.append(g)
     return frozenset(result)
-
-
-def reachable_set(dcg: DirectedConflictGraph, seed: Iterable[FactId]) -> frozenset[FactId]:
-    """Closure of `seed` under outgoing edges; seed facts are always included."""
-    return _closure(seed, dcg.out)
 
 
 def reachable_minus_set(dcg: DirectedConflictGraph, priority: PriorityRelation,
@@ -262,7 +257,15 @@ def reachable_minus_set(dcg: DirectedConflictGraph, priority: PriorityRelation,
     conflict graph of the same priority relation.
     """
     dominators, out = priority.dominators_of, dcg.out
-    return _closure(seed, lambda a: [g for b in dominators(a) for g in out(b)])
+    result = set(seed)
+    frontier = list(result)
+    while frontier:
+        for b in dominators(frontier.pop()):
+            for g in out(b):
+                if g not in result:
+                    result.add(g)
+                    frontier.append(g)
+    return frozenset(result)
 
 
 def build_score_priority(conflicts: ConflictSet,
@@ -337,6 +340,41 @@ def is_score_structured(conflicts: ConflictSet, priority: PriorityRelation) -> b
     return _find_cycle(frozenset(comp_edges)) is None
 
 
+def grounded_facts(instance: PrioritizedInstance
+                   ) -> tuple[frozenset[FactId], frozenset[FactId], frozenset[FactId]]:
+    """The first-round safe facts, then all safe and all lost facts.
+
+    The grounded extension of the attack relation "a attacks b iff they
+    conflict and b is not preferred to a": a fact is safe once every partner
+    it is not preferred to is lost, and the partners of a safe fact are lost.
+    Safe facts are in every optimal repair, lost facts in none. A worklist
+    keeps, per fact, the count of its directed-conflict-graph successors not
+    yet lost, so the fixpoint costs one pass over the conflicts. A lost fact
+    never runs out of successors: the safe fact that first beat it stays.
+    A self-inconsistent fact is in no repair, so it is lost from the start.
+    """
+    dcg = instance.dcg()
+    neighbors = instance.conflicts.neighbors
+    lost = set(instance.conflicts.self_inconsistent)
+    pending = {f: len(dcg.out(f)) for f in instance.universe if f not in lost}
+    work = [f for f, n in pending.items() if not n]
+    first = frozenset(work)
+    safe: set[FactId] = set()
+    while work:
+        f = work.pop()
+        safe.add(f)
+        for g in neighbors(f):
+            if g in lost:
+                continue
+            lost.add(g)
+            for h in neighbors(g):
+                if g in dcg.out(h):
+                    pending[h] -= 1
+                    if not pending[h]:
+                        work.append(h)
+    return first, frozenset(safe), frozenset(lost)
+
+
 @dataclass(frozen=True)
 class PrioritizedInstance:
     """A knowledge base reduced to its conflict structure plus candidate answers.
@@ -399,10 +437,8 @@ class PrioritizedInstance:
                                 self.answers)
 
     def without_priority(self) -> "PrioritizedInstance":
-        """This instance with an empty priority, as subset repairs read it.
-
-        The view is built once per instance, so the graph derived from it is
-        too."""
+        """This instance with an empty priority, as subset repairs read it;
+        built once per instance, so what it derives is too."""
         return self if self.priority.is_empty() else self._priority_free
 
     def with_priority(self, priority: PriorityRelation) -> "PrioritizedInstance":
@@ -410,35 +446,31 @@ class PrioritizedInstance:
                                    self.answers, self.labels)
 
     def with_answers(self, answers: Sequence[PotentialAnswer]) -> "PrioritizedInstance":
-        """Same conflicts and priority, so what is already derived from them
-        carries over."""
-        out = self._restricted(self.universe, self.conflicts, self.priority,
-                               answers)
-        for derived in ("_dcg", "score_structured"):
-            if derived in self.__dict__:
-                out.__dict__[derived] = self.__dict__[derived]
+        """`answers` in place of the answers, sharing the graph."""
+        out = self._restricted(self.universe, self.conflicts, self.priority, answers)
+        out.__dict__["_dcg"] = self._dcg
         return out
 
-    def without_facts(self, drop: frozenset[FactId],
-                      answers: Sequence[PotentialAnswer]) -> "PrioritizedInstance":
-        """The instance on the facts outside `drop`, with only their conflicts
-        and priority edges, and `answers` in place of the answers.
+    @cached_property
+    def grounded(self) -> tuple[frozenset[FactId], frozenset[FactId], frozenset[FactId]]:
+        return grounded_facts(self)
 
-        A graph already built carries over, restricted to the facts kept.
-        """
-        def kept(pair):
-            return pair[0] not in drop and pair[1] not in drop
-        conflicts = ConflictSet(filter(kept, self.conflicts.pairs),
-                                self.conflicts.self_inconsistent - drop)
-        out = self._restricted(
-            tuple(f for f in self.universe if f not in drop), conflicts,
-            PriorityRelation(filter(kept, self.priority.edges)), answers)
-        if "_dcg" in self.__dict__:
-            bad = conflicts.self_inconsistent
-            out.__dict__["_dcg"] = DirectedConflictGraph({
-                f: succ - drop for f, succ in self._dcg.out_edges.items()
-                if conflicts.neighbors(f) - bad})
-        return out
+    @cached_property
+    def _restrictions(self) -> dict[frozenset[FactId], "PrioritizedInstance"]:
+        return {}
+
+    def without_facts(self, drop: frozenset[FactId]) -> "PrioritizedInstance":
+        """This instance on the facts outside `drop`, with their conflicts and
+        priority edges and no answers; built once per dropped set, with its
+        own graph."""
+        if drop not in self._restrictions:
+            kept = drop.isdisjoint
+            self._restrictions[drop] = self._restricted(
+                tuple(f for f in self.universe if f not in drop),
+                ConflictSet(filter(kept, self.conflicts.pairs),
+                            self.conflicts.self_inconsistent - drop),
+                PriorityRelation(filter(kept, self.priority.edges)), ())
+        return self._restrictions[drop]
 
 
 def make_instance(universe: Iterable[FactId],

@@ -100,6 +100,8 @@ class SolverSession:
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a hard clause; duplicates removed, tautologies dropped."""
         lits = tuple(lits)
+        if 0 in lits:
+            raise ValueError(f"clause {list(lits)} holds literal 0")
         self._original.append(lits)
         # level-0 simplification keeps the watch invariants intact
         assert not self._trail_lim, "clauses may only be added between solves"
@@ -278,6 +280,8 @@ class SolverSession:
             self.stats.wall_s += time.perf_counter() - start
 
     def _solve(self, assumptions: list[int]) -> SolveResult:
+        if 0 in assumptions:
+            raise ValueError(f"assumptions {assumptions} hold literal 0")
         self.stats.solve_calls += 1
         for lit in assumptions:
             self.ensure_vars(abs(lit))

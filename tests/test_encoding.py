@@ -39,6 +39,15 @@ class TestEncodingSpec:
         with pytest.raises(ValueError):
             EncodingSpec("ar", "p", "p1", 3)
 
+    @pytest.mark.parametrize("cap", [0, -3, "64", 64.0, True])
+    def test_node_cap_must_be_a_positive_integer(self, cap):
+        # a cap below 1 would refuse every c request at encoding time
+        with pytest.raises(ValueError, match="node cap"):
+            EncodingSpec("ar", "c", "c", 1, node_cap=cap)
+
+    def test_node_cap_of_one_accepted(self):
+        assert EncodingSpec("ar", "c", "c", 1, node_cap=1).node_cap == 1
+
 
 def fact_clause(formula, clause, ns=None):
     """Render a clause over fact variables as a set of (sign, fact) pairs."""

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,7 +166,7 @@ class TestGroundedFixpoint:
         inst = _completion_counterexample()
         _, safe, lost = grounded_facts(inst)
         # the residue p would read, had the checks left it an answer
-        residue = inst.without_facts(safe | lost, ())
+        residue = inst.without_facts(safe | lost)
         assert residue.universe == (2, 3)
         # the residue's completion repairs miss the priority path 2 > 1 > 3
         full = repair_family(inst, "c").as_set()
@@ -213,8 +216,8 @@ class TestGroundedFixpoint:
                 for r in full:
                     assert safe <= r and not lost & r, (i, repair)
                 # for c without score structure the residue keeps every fact
-                if lost and (repair != "c" or cleaned.score_structured):
-                    residue = cleaned.without_facts(safe | lost, ())
+                if repair != "c" or cleaned.score_structured:
+                    residue = cleaned.without_facts(safe | lost)
                 else:
                     residue = cleaned
                 assert {r | safe for r in repair_family(residue, repair).repairs} \
@@ -293,15 +296,16 @@ class TestSelfInconsistentFactsAreLost:
 
     def test_each_view_builds_one_graph_and_restricts_once(self, monkeypatch):
         build, restrict = model.directed_conflict_graph, PrioritizedInstance.without_facts
-        builds, restrictions = [], []
+        builds, restricted = [], {}
 
         def counted_build(*args):
             builds.append(args)
             return build(*args)
 
-        def counted_restrict(self, *args):
-            restrictions.append(args)
-            return restrict(self, *args)
+        def counted_restrict(self, drop):
+            out = restrict(self, drop)
+            restricted[id(out)] = out
+            return out
 
         monkeypatch.setattr(model, "directed_conflict_graph", counted_build)
         monkeypatch.setattr(PrioritizedInstance, "without_facts", counted_restrict)
@@ -312,15 +316,22 @@ class TestSelfInconsistentFactsAreLost:
                 continue
             views = 1 if inst.priority.is_empty() else 2
             builds.clear()
-            for combo in combos_for(inst):
-                restrictions.clear()
-                spec = EncodingSpec(combo.semantics, combo.repair, combo.max_variant,
-                                    combo.neg_variant)
-                answer_query(FilterRequest(inst, spec, combo.algorithm))
-                assert len(restrictions) <= 1, (i, combo)
-                requests += 1
-            assert len(builds) == views, i
-        assert requests > 3000
+            restricted.clear()
+            counts = []
+            for _ in range(2):
+                for combo in combos_for(inst):
+                    spec = EncodingSpec(combo.semantics, combo.repair,
+                                        combo.max_variant, combo.neg_variant)
+                    answer_query(FilterRequest(inst, spec, combo.algorithm))
+                    requests += 1
+                counts.append((len(builds), len(restricted)))
+            # asking every request again restricts and builds nothing more
+            assert counts[0] == counts[1], i
+            # a view restricts to its safe and lost facts, and for c under a
+            # general priority to its self-inconsistent ones
+            assert len(restricted) <= 2 * views, i
+            assert len(builds) <= views + len(restricted), i
+        assert requests > 6000
 
 
 @pytest.fixture(scope="module")
@@ -565,9 +576,16 @@ class TestPipelineMechanics:
             return build(*args)
 
         monkeypatch.setattr(model, "directed_conflict_graph", counting)
-        report = run(_settling_instance(), "brave", "p", "simple")
+        inst = _settling_instance()
+        report = run(inst, "brave", "p", "simple")
         assert report.answers == {"trivial", "held", "open"}
-        assert len(calls) == 1
+        # one graph for the instance and one for its residue, however many
+        # requests read them
+        assert len(calls) == 2
+        for sem, algos in ALGOS_FOR.items():
+            for algo in algos:
+                run(inst, sem, "p", algo)
+        assert len(calls) == 2
 
     def test_requests_validate_no_priority_again(self, monkeypatch):
         # a priority is validated where it enters; what a request derives
@@ -593,6 +611,47 @@ class TestPipelineMechanics:
         # some cells keep a priority on a residue that lost facts
         assert residues
         assert [p for p in checked if not p.is_empty()] == []
+
+    def test_per_view_state_does_not_leak_between_requests(self):
+        # the instances the fixpoint decides facts of, so each view holds
+        # restrictions; on some, c under a general priority and p restrict
+        # the same view to different dropped sets
+        instances = [inst for seed in (0, 1) for i in range(60)
+                     if grounded_facts(inst := verification_instance(i, seed, 10, 20))[2]]
+        assert len(instances) > 20
+        assert sum(not inst.score_structured for inst in instances) >= 3
+
+        def copy(inst):
+            return make_instance(inst.universe, inst.conflicts.pairs,
+                                 inst.priority.edges, inst.answers,
+                                 inst.conflicts.self_inconsistent, inst.labels)
+
+        def outcome(inst, spec, algorithm):
+            report = answer_query(FilterRequest(inst, spec, algorithm))
+            residue = report.residue
+            return (report.answers, report.trivial_answers, report.settled_answers,
+                    residue.universe, residue.answers)
+
+        interval = sys.getswitchinterval()
+        # switch threads often, so requests on one view interleave
+        sys.setswitchinterval(1e-5)
+        try:
+            for inst in instances:
+                cells = [(EncodingSpec(c.semantics, c.repair, c.max_variant,
+                                       c.neg_variant), c.algorithm)
+                         for c in combos_for(inst)]
+                fresh = [outcome(copy(inst), *cell) for cell in cells]
+                shared = copy(inst)
+                assert [outcome(shared, *cell) for cell in cells] == fresh
+                shared = copy(inst)
+                assert [outcome(shared, *cell) for cell in cells[::-1]] == fresh[::-1]
+                shared = copy(inst)
+                with ThreadPoolExecutor(4) as pool:
+                    threaded = list(pool.map(lambda cell: outcome(shared, *cell),
+                                             cells, timeout=60))
+                assert threaded == fresh
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_timings_reported(self, ex1):
         report = run(ex1, "iar", "c", "iarcauses")

@@ -211,8 +211,7 @@ def test_graph_carried_past_dropped_facts_matches_a_fresh_build(pairs, seed, dro
     inst = make_instance(range(8), pairs, _prio_for(pairs, seed, 0.6).edges,
                          self_inconsistent=unary)
     inst.dcg()
-    out = inst.without_facts(drop, ())
-    assert "_dcg" in out.__dict__
+    out = inst.without_facts(drop)
     assert set(out.universe) == set(range(8)) - drop
     assert not any(a in drop or b in drop for a, b in out.conflicts.pairs)
     assert out.dcg().out_edges == directed_conflict_graph(
@@ -374,10 +373,10 @@ def test_constructor_rejects_a_cyclic_relation():
 
 
 def test_restrictions_check_their_facts(ex1):
-    kept = ex1.without_facts(frozenset({GAMMA}), ())
+    kept = ex1.without_facts(frozenset({GAMMA}))
     assert kept.universe == (ALPHA, BETA, DELTA)
     assert kept.priority.sorted_edges() == [(ALPHA, BETA)]
     with pytest.raises(ValueError, match="not declared"):
-        ex1.without_facts(frozenset({GAMMA}), [make_answer("a", [[GAMMA]])])
+        kept.with_answers([make_answer("a", [[GAMMA]])])
     with pytest.raises(ValueError, match="not declared"):
         ex1.with_answers([make_answer("a", [[7]])])

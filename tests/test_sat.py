@@ -32,6 +32,21 @@ class TestSolve:
     def test_empty_clause(self):
         assert solve_clauses(2, [[1, 2], []]).status == UNSAT
 
+    @pytest.mark.parametrize("clause", [[0, 1], [0], [-2, 0]])
+    def test_literal_zero_in_a_clause_rejected(self, clause):
+        # 0 names no variable; taken as a literal it refuted [[0, 1], [-1]]
+        with pytest.raises(ValueError, match=r"clause \[.*\] holds literal 0"):
+            solve_clauses(2, [clause, [-1]])
+
+    def test_literal_zero_assumption_rejected(self):
+        # it was dropped silently, so solving went on without it
+        session = loaded(1, [[1]])
+        with pytest.raises(ValueError, match="literal 0"):
+            session.solve([0])
+        with pytest.raises(ValueError, match="literal 0"):
+            session.solve([1, 0])
+        assert session.solve([1]).is_sat
+
     def test_model_is_total(self):
         res = solve_clauses(4, [[1, 2]])
         assert set(res.model) == {1, 2, 3, 4}
